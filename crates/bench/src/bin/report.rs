@@ -79,17 +79,15 @@ fn min_ns<F: FnMut()>(iters: usize, mut f: F) -> u128 {
         .expect("at least one iteration")
 }
 
-/// PR benchmark report: the PR 2 evaluation-pipeline benches (each entry
-/// pairs a baseline with the optimized path, minimum wall time of both),
-/// the PR 3 concurrent-snapshot throughput group, the PR 4 parallel
-/// fetch-plane group, the PR 5 parallel evaluate-plane group, the PR 6
-/// tail-latency (hedged fetch) group, the PR 7 magic-sets ablation
-/// group, the PR 8 incremental-publish (write plane) group, the PR 9
-/// sustained-QPS group driving a live `kind-server` over TCP, the PR 10
-/// overlapped-fetch group (scoped thread pool vs. the stall-parking
-/// executor on a wide fan of slow sources), and `EvalStats` counters
-/// from a representative warm model. Results go to stdout and
-/// `BENCH_PR10.json`.
+/// Benchmark report: the evaluation-pipeline benches (each entry pairs a
+/// baseline with the optimized path, minimum wall time of both), the
+/// concurrent-snapshot throughput group, the parallel fetch-plane group,
+/// the tail-latency (hedged fetch) group, the magic-sets ablation group,
+/// the incremental-publish (write plane) group, the sustained-QPS group
+/// driving a live `kind-server` over TCP, the overlapped-fetch group
+/// (scoped thread pool vs. the stall-parking executor on a wide fan of
+/// slow sources), and `EvalStats` counters from a representative warm
+/// model. Results go to stdout and `BENCH_PR10.json`.
 fn bench_pr10_report(fast: bool, inc: IncGroup) {
     header("PR 10 — overlapped fetch executor + serving/write planes");
     let iters = if fast { 5 } else { 25 };
@@ -290,33 +288,6 @@ fn bench_pr10_report(fast: bool, inc: IncGroup) {
         over.overlap_speedup()
     );
 
-    let pe = parallel_eval_bench(fast, &params);
-    println!(
-        "\n  parallel evaluation (warm §5 answer, {} core(s){}):",
-        cores(),
-        if cores() == 1 {
-            ", 1-core host: flat scaling expected"
-        } else {
-            ""
-        }
-    );
-    println!(
-        "  {:>12} | {:>13} | {:>8}",
-        "eval threads", "wall ns", "speedup"
-    );
-    println!(
-        "  {:>12} | {:>13} | {:>7.2}x",
-        "serial", pe.serial_wall_ns, 1.0
-    );
-    for r in &pe.rows {
-        println!(
-            "  {:>12} | {:>13} | {:>7.2}x",
-            r.threads,
-            r.wall_ns,
-            pe.serial_wall_ns as f64 / r.wall_ns.max(1) as f64
-        );
-    }
-
     let magic = magic_sets_bench(fast, &params);
     println!("\n  magic-sets ablation (warm answer, rewrite off vs. on):");
     println!(
@@ -436,7 +407,6 @@ fn bench_pr10_report(fast: bool, inc: IncGroup) {
         &conc,
         &par,
         &over,
-        &pe,
         &tail,
         &magic,
         &inc,
@@ -961,50 +931,6 @@ fn tail_latency_bench(fast: bool) -> TailGroup {
     }
 }
 
-/// The evaluate-plane group's results: the §5 warm `answer()` workload —
-/// ISSUE 5's hot path, the time spent entirely inside the semi-naive
-/// fixpoint once fetching and the base cache are warm — measured with
-/// the serial engine and again at 1/2/4/8 evaluate-plane threads.
-struct ParEvalGroup {
-    serial_wall_ns: u128,
-    rows: Vec<ParRow>,
-}
-
-/// The `parallel_eval` group: one primed mediator per thread budget (so
-/// every measurement is a warm second-and-later query), identical row
-/// counts asserted across budgets (the bit-identity contract's cheap
-/// observable — the property suite checks full equality). Speedups are
-/// bounded by [`cores`], which the JSON records: on a single-core host
-/// the expected shape is flat (graceful no-regression), on a multi-core
-/// host the fixpoint's partitioned rounds scale.
-fn parallel_eval_bench(fast: bool, params: &ScenarioParams) -> ParEvalGroup {
-    let iters = if fast { 3 } else { 10 };
-    let aq = r#"calcium_sites(P, L) :- X : protein_amount, X[protein_name -> P],
-                X[location -> L], X[ion_bound -> "calcium"]."#;
-    let measure = |threads: usize| -> (u128, usize) {
-        let mut m = build_scenario(params);
-        m.set_eval_threads(threads);
-        let expected = m.answer(aq).expect("priming answer").rows.len();
-        let wall = min_ns(iters, || {
-            black_box(m.answer(aq).expect("warm answer").rows.len());
-        });
-        (wall, expected)
-    };
-    let (serial_wall_ns, serial_rows) = measure(1);
-    let rows = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&threads| {
-            let (wall_ns, n) = measure(threads);
-            assert_eq!(n, serial_rows, "row count diverged at {threads} threads");
-            ParRow { threads, wall_ns }
-        })
-        .collect();
-    ParEvalGroup {
-        serial_wall_ns,
-        rows,
-    }
-}
-
 /// One row of the fetch-plane group: full materialization wall time with
 /// the given worker-thread budget.
 struct ParRow {
@@ -1328,8 +1254,8 @@ fn snapshot_concurrency_bench(fast: bool, params: &ScenarioParams) -> Vec<ConcRo
 
 /// Hand-rolled JSON (no serde in the image): per-bench baseline/optimized
 /// nanoseconds, the concurrent-throughput group, the fetch-plane group,
-/// the evaluate-plane group, the tail-latency (hedged fetch) group, the
-/// incremental-publish (write plane) group, plus the `EvalStats` and
+/// the tail-latency (hedged fetch) group, the incremental-publish (write
+/// plane) group, plus the `EvalStats` and
 /// stratum counters of the warm mediator's cached base model.
 #[allow(clippy::too_many_arguments)]
 fn render_bench_json(
@@ -1339,7 +1265,6 @@ fn render_bench_json(
     conc: &[ConcRow],
     par: &ParGroup,
     over: &OverlappedGroup,
-    pe: &ParEvalGroup,
     tail: &TailGroup,
     magic: &[MagicRow],
     inc: &IncGroup,
@@ -1430,21 +1355,7 @@ fn render_bench_json(
         ""
     };
     out.push_str(&format!(
-        "  \"parallel_eval\": {{\n    \"cores\": {}{one_core_note},\n    \"serial_wall_ns\": {},\n    \"rows\": [\n",
-        cores(),
-        pe.serial_wall_ns
-    ));
-    for (i, r) in pe.rows.iter().enumerate() {
-        let sep = if i + 1 < pe.rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "      {{\"eval_threads\": {}, \"wall_ns\": {}, \"speedup_vs_serial\": {:.2}}}{sep}\n",
-            r.threads,
-            r.wall_ns,
-            pe.serial_wall_ns as f64 / r.wall_ns.max(1) as f64
-        ));
-    }
-    out.push_str(&format!(
-        "    ]\n  }},\n  \"tail_latency\": {{\n    \"runs\": {},\n    \"delay_ms\": {},\n    \"slow_per_mille\": {},\n    \"hedge_after_ms\": {},\n",
+        "  \"tail_latency\": {{\n    \"runs\": {},\n    \"delay_ms\": {},\n    \"slow_per_mille\": {},\n    \"hedge_after_ms\": {},\n",
         tail.runs, tail.delay_ms, tail.slow_per_mille, tail.hedge_after_ms
     ));
     for (i, (name, st)) in [("no_hedge", &tail.no_hedge), ("hedge", &tail.hedge)]

@@ -1561,7 +1561,7 @@ impl Federation {
     /// The worker count [`Self::fetch_parallel`] will actually use for a
     /// given number of jobs: the explicit knob when set, otherwise one
     /// worker per core, always capped by the number of plan sources
-    /// (adaptive sizing — both planes share [`kind_datalog::pool_size`]).
+    /// (adaptive sizing, see [`Self::pool_size`]).
     ///
     /// With one exception: on the scoped-thread plane, a plan touching
     /// any **stall-aware** source ([`Wrapper::stall_hint`]) is
@@ -1587,7 +1587,15 @@ impl Federation {
             };
             return jobs.min(cap).max(1);
         }
-        kind_datalog::pool_size(self.fetch_threads, jobs, cores)
+        Self::pool_size(self.fetch_threads, jobs, cores)
+    }
+
+    /// The worker count for `units` independent fetch jobs: `knob`
+    /// (`0` = auto, i.e. all of `cores`) capped by the number of jobs,
+    /// never less than one.
+    fn pool_size(knob: usize, units: usize, cores: usize) -> usize {
+        let cap = if knob == 0 { cores } else { knob };
+        cap.min(units).max(1)
     }
 
     /// Like [`Self::fetch`], but a source-level failure degrades to an
@@ -1899,8 +1907,21 @@ mod tests {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(
             m.federation().effective_fetch_threads(8),
-            kind_datalog::pool_size(0, 8, cores)
+            Federation::pool_size(0, 8, cores)
         );
+    }
+
+    #[test]
+    fn pool_size_clamps_and_defaults() {
+        // Explicit knob wins, capped by the unit count.
+        assert_eq!(Federation::pool_size(4, 100, 1), 4);
+        assert_eq!(Federation::pool_size(4, 2, 16), 2);
+        // knob = 0 defers to the core count, again capped by units.
+        assert_eq!(Federation::pool_size(0, 100, 8), 8);
+        assert_eq!(Federation::pool_size(0, 3, 8), 3);
+        // Never below one worker, even with no work.
+        assert_eq!(Federation::pool_size(0, 0, 8), 1);
+        assert_eq!(Federation::pool_size(7, 0, 1), 1);
     }
 
     #[test]

@@ -572,18 +572,10 @@ impl Mediator {
         &self.eval_options
     }
 
-    /// Sets the evaluate-plane thread budget (0 = one worker per core).
-    /// Parallel evaluation is bit-identical to serial — same `Model`,
-    /// `EvalStats`, and join plans — so changing it neither dirties the
-    /// base nor invalidates a cached model; it only affects wall clock.
-    pub fn set_eval_threads(&mut self, threads: usize) {
-        self.eval_options.eval_threads = threads;
-    }
-
-    /// The configured evaluate-plane thread budget.
-    pub fn eval_threads(&self) -> usize {
-        self.eval_options.eval_threads
-    }
+    /// Ignored: evaluation always runs on the calling thread. Kept only
+    /// so existing callers of the former evaluate-plane thread budget
+    /// still compile; it changes nothing.
+    pub fn set_eval_threads(&mut self, _threads: usize) {}
 
     /// Selects the fetch-plane transport (see [`kind_core::FetchMode`]
     /// via the crate root): scoped thread-per-job, or the overlapped
@@ -843,11 +835,7 @@ impl Mediator {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         format!("{:?}", self.knowledge.dm).hash(&mut h);
         format!("{:?}", self.knowledge.mode).hash(&mut h);
-        // The thread budget is normalized out: parallel evaluation is
-        // bit-identical to serial, so a cached model stays valid across
-        // `set_eval_threads` calls.
         let mut opts = self.eval_options.clone();
-        opts.eval_threads = 0;
         // The cancellation token is identity, not semantics: it never
         // changes what a completed evaluation computes, so it must not
         // invalidate a cached model either.

@@ -325,7 +325,6 @@ mod tests {
         m.set_deadline_cancels_siblings(true);
         m.set_magic_sets(false);
         m.set_magic_sets(true);
-        m.set_eval_threads(1);
         assert!(
             !m.publish_pending(),
             "knob setters must not stage writes or force a rebuild"

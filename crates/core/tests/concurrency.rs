@@ -15,16 +15,6 @@ use std::thread;
 
 const fn assert_send_sync<T: Send + Sync>() {}
 
-/// CI runs this suite at several evaluate-plane thread budgets
-/// (`KIND_EVAL_THREADS=1` and `=8`); results are bit-identical across
-/// settings, so every assertion below holds unchanged.
-fn eval_threads_from_env() -> usize {
-    std::env::var("KIND_EVAL_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 // The snapshot is the type handed to worker threads; the layers must be
 // transferable too (e.g. a mediator built on one thread, served from
 // another).
@@ -58,7 +48,6 @@ fn spine_wrapper(name: &str, concept: &str, n: usize) -> Arc<MemoryWrapper> {
 
 fn snapshot_fixture() -> QuerySnapshot {
     let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-    m.set_eval_threads(eval_threads_from_env());
     m.register(spine_wrapper("A", "Spine", 6)).unwrap();
     m.register(spine_wrapper("B", "Shaft", 4)).unwrap();
     m.define_view("long_spine(X, L) :- X : spines, X[len -> L], L >= 30.")
@@ -128,7 +117,6 @@ fn snapshot_survives_mediator_mutation() {
     // Snapshot isolation: the mediator keeps evolving after the snapshot
     // is taken; the snapshot keeps answering from the frozen state.
     let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-    m.set_eval_threads(eval_threads_from_env());
     m.register(spine_wrapper("A", "Spine", 3)).unwrap();
     m.materialize_all().unwrap();
     let snap = m.snapshot().unwrap();
@@ -148,7 +136,6 @@ fn snapshot_survives_mediator_mutation() {
 #[test]
 fn snapshot_answer_matches_mediator_answer() {
     let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-    m.set_eval_threads(eval_threads_from_env());
     m.register(spine_wrapper("A", "Spine", 6)).unwrap();
     m.materialize_all().unwrap();
     let snap = m.snapshot().unwrap();
@@ -173,7 +160,6 @@ fn snapshot_answer_matches_mediator_answer() {
 /// at those structures.
 fn section5_fixture() -> (Mediator, NeuroSchema, Section5Query) {
     let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-    m.set_eval_threads(eval_threads_from_env());
     let mut nt = MemoryWrapper::new("NT");
     nt.caps.push(Capability {
         class: "neurotransmission".into(),
@@ -285,13 +271,12 @@ fn eight_threads_replay_warm_section5_plan_identically() {
     });
 }
 
-// ---------- Magic sets × thread budgets ---------------------------------
+// ---------- Magic sets × concurrent snapshot callers --------------------
 
 /// Goal-directed answers must be identical with the magic-sets rewrite
-/// on and off, at whatever thread budget CI sets (`KIND_EVAL_THREADS=1`
-/// and `=8`), from both the mediator and concurrent snapshot callers.
+/// on and off, from both the mediator and concurrent snapshot callers.
 #[test]
-fn magic_sets_toggle_preserves_answers_across_thread_budgets() {
+fn magic_sets_toggle_preserves_answers_across_snapshot_callers() {
     let rendered = |m: &Mediator, rows: &[Vec<kind_datalog::Term>]| {
         let mut v: Vec<String> = rows
             .iter()
@@ -302,7 +287,6 @@ fn magic_sets_toggle_preserves_answers_across_thread_budgets() {
     };
     let build = |magic: bool| {
         let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
-        m.set_eval_threads(eval_threads_from_env());
         m.set_magic_sets(magic);
         m.register(spine_wrapper("A", "Spine", 6)).unwrap();
         m.register(spine_wrapper("B", "Shaft", 4)).unwrap();

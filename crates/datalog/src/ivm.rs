@@ -44,15 +44,14 @@
 //! rule over unchanged inputs would never fire at all.
 //!
 //! Statistics produced by `apply_delta` measure the *delta work*, not a
-//! cold evaluation's: they are bit-identical across `eval_threads`
-//! settings for identical mutation histories (the same contract as the
-//! cold evaluator), but intentionally smaller than a cold rebuild's.
+//! cold evaluation's: they are deterministic for identical mutation
+//! histories (the same contract as the cold evaluator), but intentionally
+//! smaller than a cold rebuild's.
 
 use crate::error::{DatalogError, Result};
 use crate::eval::{
-    check_cancelled, execute_round, naive_stratum, plan_rule, resolve_threads, seminaive_stratum,
-    solve, EvalOptions, EvalProfile, EvalStats, IndexCounters, MatchCtx, Model, NegView, ParMeta,
-    RulePlan, StratumProfile,
+    check_cancelled, eval_stratum, execute_round, plan_rule, solve, EvalOptions, EvalProfile,
+    EvalStats, IndexCounters, MatchCtx, Model, NegView, RulePlan, StratumProfile,
 };
 use crate::fact::{FactStore, Tuple};
 use crate::interner::Sym;
@@ -271,8 +270,6 @@ pub(crate) fn apply_delta(
         delta_applied: true,
         ..Default::default()
     };
-    let cap = resolve_threads(opts.eval_threads);
-    profile.eval_threads = cap;
 
     // Seed the extensional layer. Predicates owned by a stratum that
     // seeds itself from the base (reuse/additions/retractions) are left
@@ -345,14 +342,12 @@ pub(crate) fn apply_delta(
         };
         sp.plans = prepared.iter().map(|(_, p)| p.clone()).collect();
         let counters = IndexCounters::default();
-        let mut par = ParMeta::new();
         let before = stats;
         match modes[i] {
             Mode::Reuse => unreachable!("handled above"),
             Mode::Additions => {
                 maintain_additions(
                     stratum, &prepared, delta, &mut total, &mut novel, &mut stats, &counters, opts,
-                    cap, &mut par,
                 )?;
                 profile.delta_incremental_strata += 1;
             }
@@ -391,24 +386,21 @@ pub(crate) fn apply_delta(
                     }
                     merge_stats(&mut stats, &sub.stats);
                     profile.well_founded = true;
-                    // Surface the inner run's plans and parallelism in
-                    // this stratum's profile slot.
+                    // Surface the inner run's plans in this stratum's
+                    // profile slot.
                     if let Some(s0) = sub.profile.strata.into_iter().next() {
                         sp.plans = s0.plans;
-                        par.threads_used = s0.threads_used;
-                        par.partitions = s0.partitions;
                     }
                 } else {
-                    rebuild_stratum(
-                        stratum,
-                        &prepared,
+                    let stratum_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
+                    eval_stratum(
+                        &stratum_rules,
+                        stratum.recursive,
                         &stratum_preds,
                         &mut total,
                         &mut stats,
                         &counters,
                         opts,
-                        cap,
-                        &mut par,
                     )?;
                 }
                 // Exact diff against the base keeps downstream frontiers
@@ -437,8 +429,6 @@ pub(crate) fn apply_delta(
         sp.iterations = stats.iterations - before.iterations;
         sp.derived = stats.derived - before.derived;
         counters.fold_into(&mut stats);
-        sp.threads_used = par.threads_used;
-        sp.partitions = par.partitions;
         profile.strata.push(sp);
     }
     Ok(Model {
@@ -464,8 +454,6 @@ fn maintain_additions(
     stats: &mut EvalStats,
     counters: &IndexCounters,
     opts: &EvalOptions,
-    cap: usize,
-    par: &mut ParMeta,
 ) -> Result<()> {
     // Asserted base facts of this stratum's own predicates join the
     // extension directly (they are already in the novel frontier).
@@ -498,10 +486,8 @@ fn maintain_additions(
             Some(&frontier),
             NegView::Closed,
             opts,
-            cap,
             counters,
             stats,
-            par,
         );
         let added = total.absorb(&out);
         stats.derived += added;
@@ -656,54 +642,6 @@ fn maintain_retractions(
         }
     }
     Ok(())
-}
-
-/// Cold re-evaluation of a single stratum over the already-maintained
-/// lower layers in `total` — the same three execution paths as the cold
-/// stratified evaluator.
-#[allow(clippy::too_many_arguments)]
-fn rebuild_stratum(
-    stratum: &Stratum,
-    prepared: &[(Rule, RulePlan)],
-    stratum_preds: &HashSet<Sym>,
-    total: &mut FactStore,
-    stats: &mut EvalStats,
-    counters: &IndexCounters,
-    opts: &EvalOptions,
-    cap: usize,
-    par: &mut ParMeta,
-) -> Result<()> {
-    let stratum_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
-    if !stratum.recursive {
-        let units: Vec<(&Rule, Option<usize>)> = stratum_rules.iter().map(|&r| (r, None)).collect();
-        let out = execute_round(
-            &units,
-            total,
-            None,
-            NegView::Closed,
-            opts,
-            cap,
-            counters,
-            stats,
-            par,
-        );
-        stats.derived += total.absorb(&out);
-        stats.iterations += 1;
-        Ok(())
-    } else if opts.semi_naive {
-        seminaive_stratum(
-            &stratum_rules,
-            stratum_preds,
-            total,
-            stats,
-            counters,
-            opts,
-            cap,
-            par,
-        )
-    } else {
-        naive_stratum(&stratum_rules, total, stats, counters, opts, cap, par)
-    }
 }
 
 #[cfg(test)]
@@ -1038,57 +976,6 @@ mod tests {
         assert!(inc.facts.shares_relation(tc, &base.facts));
         assert!(inc.facts.shares_relation(ep, &base.facts));
         assert_eq!(inc.stats.derived, 0);
-    }
-
-    #[test]
-    fn delta_stats_are_thread_count_invariant() {
-        let mut engines: Vec<Engine> = Vec::new();
-        for _ in 0..2 {
-            let mut e = Engine::new();
-            let mut text = String::new();
-            for i in 0..40 {
-                text.push_str(&format!("e(n{i},n{}).\n", i + 1));
-            }
-            text.push_str("tc(X,Y) :- e(X,Y).\ntc(X,Y) :- tc(X,Z), e(Z,Y).\n");
-            e.load(&text).unwrap();
-            engines.push(e);
-        }
-        let mk_opts = |threads: usize| EvalOptions {
-            eval_threads: threads,
-            ..Default::default()
-        };
-        let mut models: Vec<Model> = Vec::new();
-        for (e, threads) in engines.iter_mut().zip([1usize, 8]) {
-            let opts = mk_opts(threads);
-            let base = e.run(&opts).unwrap();
-            e.begin_delta();
-            e.add_fact_strs("e", &["n41", "n42"]).unwrap();
-            e.add_fact_strs("e", &["n40", "n41"]).unwrap();
-            let delta = e.take_delta().unwrap();
-            models.push(e.apply_delta(&base, &delta, &opts).unwrap());
-        }
-        assert_eq!(models[0].stats, models[1].stats);
-        assert_eq!(
-            models[0].profile.delta_incremental_strata,
-            models[1].profile.delta_incremental_strata
-        );
-        let e = &engines[0];
-        let tc = e.lookup("tc").unwrap();
-        let a: Set<Tuple> = models[0]
-            .facts
-            .relation(tc)
-            .unwrap()
-            .iter()
-            .cloned()
-            .collect();
-        let b: Set<Tuple> = models[1]
-            .facts
-            .relation(tc)
-            .unwrap()
-            .iter()
-            .cloned()
-            .collect();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -56,9 +56,7 @@ mod wfs;
 
 pub use atom::{AggFunc, Aggregate, Atom, BodyItem, CmpOp, Expr};
 pub use error::{DatalogError, Result};
-pub use eval::{
-    pool_size, CancelToken, EvalOptions, EvalProfile, EvalStats, Model, RulePlan, StratumProfile,
-};
+pub use eval::{CancelToken, EvalOptions, EvalProfile, EvalStats, Model, RulePlan, StratumProfile};
 pub use explain::{Derivation, DerivationStep};
 pub use fact::{FactStore, Relation, Tuple};
 pub use interner::{Interner, Sym};
@@ -316,8 +314,8 @@ impl Engine {
     /// engine state *before* the delta's mutations, and `delta` must
     /// cover every mutation since (use [`Engine::begin_delta`] /
     /// [`Engine::take_delta`]). Statistics measure the delta work, not a
-    /// cold evaluation's: they are deterministic across `eval_threads`
-    /// for identical histories but intentionally smaller than cold.
+    /// cold evaluation's: they are deterministic for identical histories
+    /// but intentionally smaller than cold.
     pub fn apply_delta(
         &self,
         base: &Model,

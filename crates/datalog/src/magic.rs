@@ -10,9 +10,9 @@
 //! predicate of the goal from the query constants. Bottom-up evaluation
 //! of the rewritten program then derives only facts some demand can
 //! actually reach — the bottom-up engine emulates top-down relevance
-//! while keeping termination and the existing semi-naive / join-reorder /
-//! parallel-fixpoint machinery (the rewrite runs *after* parsing and
-//! *before* stratification).
+//! while keeping termination and the existing semi-naive / join-reorder
+//! machinery (the rewrite runs *after* parsing and *before*
+//! stratification).
 //!
 //! ## Scope and soundness
 //!

@@ -73,11 +73,6 @@ pub(crate) fn eval_well_founded_planned(
         ..Default::default()
     };
     let counters = crate::eval::IndexCounters::default();
-    // Both phases of every sweep reuse the stratified engine's partitioned
-    // round executor; `cap`/`par` carry the thread budget and telemetry
-    // across the whole alternating fixpoint.
-    let cap = crate::eval::resolve_threads(opts.eval_threads);
-    let mut par = crate::eval::ParMeta::new();
     let mut lower = edb.clone();
     let mut sweeps = 0usize;
     let (facts, undefined) = loop {
@@ -91,9 +86,7 @@ pub(crate) fn eval_well_founded_planned(
                 limit: opts.max_iterations,
             });
         }
-        let upper = gamma(
-            rules, edb, &lower, &mut stats, &counters, opts, cap, &mut par,
-        )?;
+        let upper = gamma(rules, edb, &lower, &mut stats, &counters, opts)?;
         // The lower sequence stays below every upper (both monotone toward
         // the fixpoint), so size equality implies set equality throughout.
         // `Γ(lower) == lower` means the fixpoint is *total* — the
@@ -102,9 +95,7 @@ pub(crate) fn eval_well_founded_planned(
         if upper.len() == lower.len() {
             break (upper, FactStore::new());
         }
-        let new_lower = gamma(
-            rules, edb, &upper, &mut stats, &counters, opts, cap, &mut par,
-        )?;
+        let new_lower = gamma(rules, edb, &upper, &mut stats, &counters, opts)?;
         // `Lᵢ₊₁ = Γ(Uᵢ) ⊆ Γ(Lᵢ) = Uᵢ` (Γ antitone, `Lᵢ ⊆ Uᵢ`), so size
         // equality here means `Lᵢ₊₁ = Uᵢ` — making `Lᵢ₊₁` a fixpoint of Γ
         // (`Γ(Lᵢ₊₁) = Γ(Uᵢ) = Lᵢ₊₁`): the total two-valued model. The next
@@ -129,8 +120,6 @@ pub(crate) fn eval_well_founded_planned(
     summary.index_builds = stats.index_builds;
     summary.index_hits = stats.index_hits;
     summary.index_misses = stats.index_misses;
-    summary.threads_used = par.threads_used;
-    summary.partitions = par.partitions;
     Ok(Model {
         facts,
         undefined,
@@ -138,7 +127,6 @@ pub(crate) fn eval_well_founded_planned(
         profile: EvalProfile {
             strata: vec![summary],
             well_founded: true,
-            eval_threads: cap,
             ..Default::default()
         },
     })
@@ -261,19 +249,23 @@ mod tests {
         assert!(!m.holds(q, &[a]));
     }
 
-    /// The alternating fixpoint runs both phases through the partitioned
-    /// round executor; a fat seeded game graph must come out bit-identical
-    /// between serial and multi-threaded evaluation.
+    /// The alternating fixpoint on a seeded random game graph, checked
+    /// against an oracle outside the engine: retrograde analysis (backward
+    /// induction). A position is lost when every move leads to a won
+    /// position (vacuously so with no moves), won when some move leads to
+    /// a lost position, and drawn otherwise. `win` must be true, false and
+    /// undefined on exactly the won, lost and drawn positions.
     #[test]
-    fn wfs_parallel_matches_serial() {
+    fn wfs_matches_retrograde_analysis() {
+        const N: usize = 30;
         let mut syms = Interner::new();
         let mv = syms.intern("move");
         let win = syms.intern("win");
         let mut edb = FactStore::new();
-        let n: Vec<Term> = (0..30)
+        let n: Vec<Term> = (0..N)
             .map(|i| Term::Const(syms.intern(&format!("p{i}"))))
             .collect();
-        // Deterministic LCG: enough moves to cross the parallel work gate.
+        // Deterministic LCG so the move set is reproducible.
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut rng = move || {
             state = state
@@ -281,9 +273,11 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); N];
         for _ in 0..120 {
-            let a = rng() % n.len();
-            let b = rng() % n.len();
+            let a = rng() % N;
+            let b = rng() % N;
+            succ[a].push(b);
             edb.insert(mv, vec![n[a].clone(), n[b].clone()].into());
         }
         let rules = vec![Rule::compile(
@@ -296,29 +290,43 @@ mod tests {
             vec!["X".into(), "Y".into()],
         )
         .unwrap()];
-        let serial = eval_well_founded(&rules, &edb, &EvalOptions::default()).unwrap();
-        for threads in [2usize, 4] {
-            let par = eval_well_founded(
-                &rules,
-                &edb,
-                &EvalOptions {
-                    eval_threads: threads,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let canon = |m: &crate::eval::Model| {
-                let mut facts: Vec<String> = m
-                    .facts
-                    .iter()
-                    .map(|(p, t)| format!("{p:?}|{t:?}"))
-                    .collect();
-                facts.extend(m.undefined.iter().map(|(p, t)| format!("u{p:?}|{t:?}")));
-                facts.sort();
-                facts
-            };
-            assert_eq!(canon(&par), canon(&serial), "threads={threads}");
-            assert_eq!(par.stats, serial.stats, "threads={threads}");
+        let m = eval_well_founded(&rules, &edb, &EvalOptions::default()).unwrap();
+
+        let (mut won, mut lost) = (vec![false; N], vec![false; N]);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for p in 0..N {
+                if won[p] || lost[p] {
+                    continue;
+                }
+                if succ[p].iter().all(|&q| won[q]) {
+                    lost[p] = true;
+                    changed = true;
+                } else if succ[p].iter().any(|&q| lost[q]) {
+                    won[p] = true;
+                    changed = true;
+                }
+            }
+        }
+        let drawn: Vec<bool> = (0..N).map(|p| !won[p] && !lost[p]).collect();
+        // The fixture exercises all three truth values.
+        for class in [&won, &lost, &drawn] {
+            assert!(class.iter().any(|&x| x));
+        }
+        for p in 0..N {
+            let arg = std::slice::from_ref(&n[p]);
+            assert_eq!(m.holds(win, arg), won[p], "p{p}: true iff won");
+            assert_eq!(
+                m.is_undefined(win, arg),
+                drawn[p],
+                "p{p}: undefined iff drawn"
+            );
+            assert_eq!(
+                !m.holds(win, arg) && !m.is_undefined(win, arg),
+                lost[p],
+                "p{p}: false iff lost"
+            );
         }
     }
 }

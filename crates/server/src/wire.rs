@@ -5,13 +5,18 @@
 //! exactly the value shapes the protocol uses (objects, arrays, strings,
 //! integers/floats, booleans, null). It is not a general-purpose JSON
 //! library: numbers round-trip through `f64`, object key order is
-//! preserved as written, and duplicate keys keep the first occurrence on
-//! lookup.
+//! preserved as written, duplicate keys keep the first occurrence on
+//! lookup, and arrays/objects nest at most [`MAX_DEPTH`] levels deep.
 //!
 //! Requests and responses are both single-line objects; see
 //! [`crate::server`] for the protocol fields.
 
 use std::fmt;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a single line of `[`s would
+/// overflow the stack; protocol messages nest only a few levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,11 +87,11 @@ impl Json {
     }
 
     /// Parses a JSON value from text (the whole input must be consumed,
-    /// modulo whitespace).
+    /// modulo whitespace). Nesting deeper than [`MAX_DEPTH`] is an error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -107,10 +112,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value starting at `pos`, inside `depth` enclosing
+/// arrays/objects. `pos` always sits on a char boundary of `text`: it only
+/// ever advances past ASCII bytes or whole string runs.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -121,7 +133,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(text, pos, depth + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -130,7 +142,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -152,7 +164,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -164,7 +176,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b't') if b[*pos..].starts_with(b"true") => {
             *pos += 4;
             Ok(Json::Bool(true))
@@ -185,7 +197,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             {
                 *pos += 1;
             }
-            let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+            let text = &text[start..*pos];
             text.parse::<f64>()
                 .map(Json::Num)
                 .map_err(|e| format!("bad number {text:?}: {e}"))
@@ -194,18 +206,28 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let b = text.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy everything up to the next quote or backslash in one slice.
+        // Both are ASCII, so the run ends on a char boundary and
+        // multi-byte sequences pass through unmodified.
+        let start = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        out.push_str(&text[start..*pos]);
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash: decode one escape sequence.
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -217,10 +239,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
+                        let hex = text
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                         let code =
                             u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u: {e}"))?;
                         // Surrogate pairs are not needed by this protocol;
@@ -231,14 +252,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     other => return Err(format!("bad escape {other:?}")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unmodified).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
             }
         }
     }
@@ -309,12 +322,19 @@ mod tests {
             r#"{"ok":true,"rows":[["a","b"],["c","d"]],"epoch":3}"#,
             r#"{"nested":{"a":[1,2.5,-3],"b":null,"c":false}}"#,
             r#"["line \"quoted\"","tab\there"]"#,
+            r#"{"name":"Purkinje–Zelle","ja":"神経細胞","emoji":"🧠 \u00e9"}"#,
         ];
         for case in cases {
             let v = Json::parse(case).unwrap();
             let rendered = v.to_string();
             assert_eq!(Json::parse(&rendered).unwrap(), v, "case {case}");
         }
+        let multibyte = Json::parse(r#"["a–b神🧠\u00e9"]"#).unwrap();
+        assert_eq!(multibyte, Json::Arr(vec![Json::str("a–b神🧠é")]));
+        // The deepest nesting the parser accepts still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let v = Json::parse(&deepest).unwrap();
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
     }
 
     #[test]
@@ -339,6 +359,34 @@ mod tests {
         assert!(Json::parse("[1,2,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("").is_err());
+        // One level past the limit is an error, not a stack overflow...
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).unwrap_err().contains("nesting"));
+        let over_obj = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&over_obj).unwrap_err().contains("nesting"));
+        // ...and so is a hostile line of a million open brackets.
+        assert!(Json::parse(&"[".repeat(1_000_000))
+            .unwrap_err()
+            .contains("nesting"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = "ab–神".repeat((1 << 20) / 8);
+        let line = format!(r#"{{"rule":"{body}"}}"#);
+        assert!(line.len() >= 1 << 20);
+        let start = std::time::Instant::now();
+        let v = Json::parse(&line).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.get("rule").and_then(Json::as_str), Some(body.as_str()));
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "1 MiB string took {took:?}"
+        );
     }
 
     #[test]

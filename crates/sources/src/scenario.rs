@@ -37,9 +37,9 @@ pub struct ScenarioParams {
     /// available parallelism; 1 = serial baseline). Results are
     /// bit-identical across settings; only wall-clock changes.
     pub fetch_threads: usize,
-    /// Evaluate-plane worker threads (0 = auto — one per core; 1 = serial
-    /// baseline). The parallel fixpoint is bit-identical to serial, so
-    /// this knob too only changes wall clock.
+    /// Ignored: evaluation always runs serially. Kept only so existing
+    /// callers that still set the former evaluate-plane thread budget
+    /// compile; no scenario builder reads it.
     pub eval_threads: usize,
     /// End-to-end virtual-time budget per degradable operation (0 = no
     /// deadline). Sources that run past their slice are cut off with
@@ -165,7 +165,6 @@ pub fn build_scenario(params: &ScenarioParams) -> Mediator {
     m.federation_mut().set_fetch_threads(params.fetch_threads);
     m.set_fetch_mode(params.fetch_mode);
     m.set_in_flight_limit(params.in_flight);
-    m.set_eval_threads(params.eval_threads);
     m.set_magic_sets(params.magic_sets);
     m.set_query_budget_ms(params.query_budget_ms);
     if params.hedge_after_ms > 0 {
@@ -207,7 +206,6 @@ pub fn build_scenario_with_faults(
     m.federation_mut().set_fetch_threads(params.fetch_threads);
     m.set_fetch_mode(params.fetch_mode);
     m.set_in_flight_limit(params.in_flight);
-    m.set_eval_threads(params.eval_threads);
     m.set_magic_sets(params.magic_sets);
     m.set_query_budget_ms(params.query_budget_ms);
     if params.hedge_after_ms > 0 {

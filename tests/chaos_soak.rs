@@ -1,17 +1,17 @@
 //! Seeded chaos soak: random fault schedules × deadlines × hedging ×
-//! thread counts, end to end through the §5 plan.
+//! fetch-thread counts, end to end through the §5 plan.
 //!
 //! For every seed we derive a deterministic configuration — which faults
 //! hit SENSELAB, whether a query budget is armed, whether hedging is on —
-//! and run the full plan at every `{fetch,eval}_threads` combination in
-//! `{1, N}²` (N from `KIND_EVAL_THREADS`, default 8), crossed with both
-//! fetch transports (scoped threads and the overlapped executor). The
-//! invariants:
+//! and run the full plan at `fetch_threads` ∈ `{1, N}` (N from
+//! `KIND_CHAOS_THREADS`, default 8), crossed with both fetch transports
+//! (scoped threads and the overlapped executor). The invariants:
 //!
 //! * nothing panics — every configuration degrades, it never aborts;
 //! * the [`kind::core::AnswerReport`] (outcomes, attempts, hedges,
 //!   cancellations, elapsed time) is **bit-identical** across all thread
-//!   combinations and across repeat runs of the same configuration;
+//!   counts and transports, and across repeat runs of the same
+//!   configuration;
 //! * whenever the report says `is_complete()`, the answer itself is
 //!   bit-identical to the fault-free baseline.
 //!
@@ -46,7 +46,7 @@ fn seeds_from_env() -> Vec<u64> {
 }
 
 fn high_threads_from_env() -> usize {
-    std::env::var("KIND_EVAL_THREADS")
+    std::env::var("KIND_CHAOS_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 1)
@@ -126,15 +126,9 @@ fn fingerprint(trace: &PlanTrace) -> (String, String) {
     (report, answer)
 }
 
-fn run_once(
-    cfg: &ChaosConfig,
-    fetch_threads: usize,
-    eval_threads: usize,
-    fetch_mode: FetchMode,
-) -> (String, String) {
+fn run_once(cfg: &ChaosConfig, fetch_threads: usize, fetch_mode: FetchMode) -> (String, String) {
     let params = ScenarioParams {
         fetch_threads,
-        eval_threads,
         fetch_mode,
         query_budget_ms: cfg.query_budget_ms,
         hedge_after_ms: cfg.hedge_after_ms,
@@ -158,29 +152,29 @@ fn chaos_soak_is_deterministic_and_degrades_gracefully() {
     };
     for seed in seeds_from_env() {
         let cfg = derive_config(seed);
-        // Thread combinations crossed with both fetch transports: the
+        // Thread counts crossed with both fetch transports: the
         // overlapped executor must reproduce the scoped plane's reports
         // and answers bit for bit under every chaos schedule.
         let mut combos = Vec::new();
         for mode in [FetchMode::ScopedThreads, FetchMode::Overlapped] {
-            for (f, e) in [(1, 1), (1, hi), (hi, 1), (hi, hi)] {
-                combos.push((f, e, mode));
+            for f in [1, hi] {
+                combos.push((f, mode));
             }
         }
         let runs: Vec<(String, String)> = combos
             .iter()
-            .map(|&(f, e, mode)| run_once(&cfg, f, e, mode))
+            .map(|&(f, mode)| run_once(&cfg, f, mode))
             .collect();
         // Bit-identical reports and answers at every combination.
         for (combo, run) in combos.iter().zip(&runs).skip(1) {
             assert_eq!(
                 run, &runs[0],
-                "seed {seed}: {combo:?} diverged from (1,1,scoped) under {cfg:?}"
+                "seed {seed}: {combo:?} diverged from (1,scoped) under {cfg:?}"
             );
         }
         // Repeat-run determinism at the high-thread setting, both modes.
         for mode in [FetchMode::ScopedThreads, FetchMode::Overlapped] {
-            let again = run_once(&cfg, hi, hi, mode);
+            let again = run_once(&cfg, hi, mode);
             assert_eq!(
                 again, runs[0],
                 "seed {seed}: repeat {mode:?} run diverged under {cfg:?}"
@@ -223,13 +217,13 @@ fn slow_tail_with_deadline_and_hedge_is_reproducible() {
         query_budget_ms: 2_000,
         hedge_after_ms: 50,
     };
-    let baseline = run_once(&cfg, 1, 1, FetchMode::ScopedThreads);
+    let baseline = run_once(&cfg, 1, FetchMode::ScopedThreads);
     for mode in [FetchMode::ScopedThreads, FetchMode::Overlapped] {
-        for &(f, e) in &[(1, hi), (hi, 1), (hi, hi)] {
+        for f in [1, hi] {
             assert_eq!(
-                run_once(&cfg, f, e, mode),
+                run_once(&cfg, f, mode),
                 baseline,
-                "threads ({f},{e}) mode {mode:?}"
+                "threads {f} mode {mode:?}"
             );
         }
     }

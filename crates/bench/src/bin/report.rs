@@ -84,12 +84,10 @@ fn min_ns<F: FnMut()>(iters: usize, mut f: F) -> u128 {
 /// concurrent-snapshot throughput group, the parallel fetch-plane group,
 /// the tail-latency (hedged fetch) group, the magic-sets ablation group,
 /// the incremental-publish (write plane) group, the sustained-QPS group
-/// driving a live `kind-server` over TCP, the overlapped-fetch group
-/// (scoped thread pool vs. the stall-parking executor on a wide fan of
-/// slow sources), and `EvalStats` counters from a representative warm
-/// model. Results go to stdout and `BENCH_PR10.json`.
+/// driving a live `kind-server` over TCP, and `EvalStats` counters from a
+/// representative warm model. Results go to stdout and `BENCH_PR10.json`.
 fn bench_pr10_report(fast: bool, inc: IncGroup) {
-    header("PR 10 — overlapped fetch executor + serving/write planes");
+    header("Benchmark report — evaluation, fetch, serving and write planes");
     let iters = if fast { 5 } else { 25 };
     let (depth, fanout) = if fast { (4usize, 3usize) } else { (5, 3) };
     let mut rows: Vec<(&str, u128, u128)> = Vec::new();
@@ -237,57 +235,6 @@ fn bench_pr10_report(fast: bool, inc: IncGroup) {
         );
     }
 
-    let over = overlapped_fetch_bench(fast);
-    println!(
-        "\n  overlapped fetch ({} sources × {}ms real stall each, {} core(s)):",
-        over.sources,
-        over.delay_ms,
-        cores()
-    );
-    println!(
-        "  {:>29} | {:>10} | {:>7} | {:>9} | {:>13} | {:>13} | {:>12} | {:>8}",
-        "row",
-        "mode",
-        "workers",
-        "in-flight",
-        "p50 wall ns",
-        "p99 wall ns",
-        "peak threads",
-        "speedup"
-    );
-    let scoped_p50 = over
-        .rows
-        .iter()
-        .find(|r| r.name == "scoped_8_workers")
-        .map(|r| r.p50_ns)
-        .unwrap_or(1);
-    for r in &over.rows {
-        println!(
-            "  {:>29} | {:>10} | {:>7} | {:>9} | {:>13} | {:>13} | {:>12} | {:>7.2}x",
-            r.name,
-            r.mode,
-            if r.workers == 0 {
-                "auto".to_string()
-            } else {
-                r.workers.to_string()
-            },
-            if r.in_flight == 0 {
-                "∞".to_string()
-            } else {
-                r.in_flight.to_string()
-            },
-            r.p50_ns,
-            r.p99_ns,
-            r.peak_threads,
-            scoped_p50 as f64 / r.p50_ns.max(1) as f64
-        );
-    }
-    println!(
-        "  stall parking overlaps {} sources on 8 workers: {:.2}x the scoped pool's wall",
-        over.sources,
-        over.overlap_speedup()
-    );
-
     let magic = magic_sets_bench(fast, &params);
     println!("\n  magic-sets ablation (warm answer, rewrite off vs. on):");
     println!(
@@ -406,7 +353,6 @@ fn bench_pr10_report(fast: bool, inc: IncGroup) {
         &rows,
         &conc,
         &par,
-        &over,
         &tail,
         &magic,
         &inc,
@@ -949,7 +895,7 @@ struct ParGroup {
 }
 
 /// The `parallel_materialize` group: every source sits behind a
-/// [`kind_bench::LatencyWrapper`] charging real wall time per query, so
+/// [`kind_core::StallAware`] wrapper charging real wall time per query, so
 /// concurrent fetching shows up as wall-clock speedup while the results
 /// stay bit-identical (asserted here on every configuration's loaded-row
 /// count). The serial baseline drives one guarded `Federation::fetch`
@@ -1023,141 +969,6 @@ fn parallel_materialize_bench(fast: bool) -> ParGroup {
         delay_ms,
         serial_wall_ns,
         rows: rows_out,
-    }
-}
-
-/// One row of the overlapped-fetch group: p50/p99 wall time over the
-/// iterations plus the peak number of live fetch worker threads.
-struct OverRow {
-    name: &'static str,
-    mode: &'static str,
-    workers: usize,
-    in_flight: usize,
-    p50_ns: u128,
-    p99_ns: u128,
-    peak_threads: usize,
-}
-
-/// The PR 10 tentpole measurement: a wide fan of stall-bound sources
-/// fetched through the scoped thread pool vs. the overlapped executor.
-struct OverlappedGroup {
-    sources: usize,
-    delay_ms: u64,
-    rows_per_source: usize,
-    rows: Vec<OverRow>,
-}
-
-impl OverlappedGroup {
-    /// Wall-time speedup of the wide-open overlapped row over the scoped
-    /// row at the same worker count — the headline number.
-    fn overlap_speedup(&self) -> f64 {
-        let scoped = self.rows.iter().find(|r| r.name == "scoped_8_workers");
-        let over = self
-            .rows
-            .iter()
-            .find(|r| r.name == "overlapped_8_workers_wide");
-        match (scoped, over) {
-            (Some(s), Some(o)) => s.p50_ns as f64 / o.p50_ns.max(1) as f64,
-            _ => 0.0,
-        }
-    }
-}
-
-/// The `overlapped_fetch` group: 64 sources × 20ms of real stall each
-/// (16 × 5ms in fast mode), all latency-bound. The scoped plane at 8
-/// workers blocks a thread per in-flight stall, so it needs
-/// `sources / workers` serial waves; the overlapped executor parks every
-/// stall on the timer wheel, so 8 workers overlap as many stalls as the
-/// in-flight cap admits. The `scoped_auto` contrast row is the
-/// stall-aware sizing default: thread-per-source — same wall time as
-/// overlapped, but at `sources` threads instead of `workers`.
-fn overlapped_fetch_bench(fast: bool) -> OverlappedGroup {
-    let (sources, delay_ms, iters) = if fast {
-        (16usize, 5u64, 3usize)
-    } else {
-        (64, 20, 5)
-    };
-    let delay = std::time::Duration::from_millis(delay_ms);
-    let rows_per_source = 2usize;
-    let expected = sources * rows_per_source;
-    let measure = |name: &'static str,
-                   mode: kind_core::FetchMode,
-                   workers: usize,
-                   in_flight: usize|
-     -> OverRow {
-        let mut m = latency_mediator(sources, rows_per_source, delay);
-        m.set_fetch_mode(mode);
-        m.federation_mut().set_fetch_threads(workers);
-        m.set_in_flight_limit(in_flight);
-        let reqs: Vec<FetchRequest> = m
-            .sources()
-            .iter()
-            .flat_map(|s| {
-                s.classes
-                    .iter()
-                    .map(|c| FetchRequest::scan(s.name.as_str(), c.as_str()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let mut walls: Vec<u128> = Vec::with_capacity(iters);
-        let mut peak = 0usize;
-        for _ in 0..iters {
-            m.federation_mut().reset_peak_fetch_threads();
-            let t = Instant::now();
-            let set = m
-                .federation_mut()
-                .fetch_parallel(&reqs)
-                .expect("overlapped-group fetch");
-            walls.push(t.elapsed().as_nanos());
-            assert_eq!(set.total_rows(), expected);
-            assert!(set.is_complete());
-            peak = peak.max(m.federation().peak_fetch_threads());
-        }
-        walls.sort_unstable();
-        OverRow {
-            name,
-            mode: match mode {
-                kind_core::FetchMode::ScopedThreads => "scoped",
-                kind_core::FetchMode::Overlapped => "overlapped",
-            },
-            workers,
-            in_flight,
-            p50_ns: percentile(&walls, 50),
-            p99_ns: percentile(&walls, 99),
-            peak_threads: peak,
-        }
-    };
-    let rows = vec![
-        measure(
-            "scoped_8_workers",
-            kind_core::FetchMode::ScopedThreads,
-            8,
-            0,
-        ),
-        measure(
-            "overlapped_8_workers_if8",
-            kind_core::FetchMode::Overlapped,
-            8,
-            8,
-        ),
-        measure(
-            "overlapped_8_workers_wide",
-            kind_core::FetchMode::Overlapped,
-            8,
-            sources,
-        ),
-        measure(
-            "scoped_auto_thread_per_source",
-            kind_core::FetchMode::ScopedThreads,
-            0,
-            0,
-        ),
-    ];
-    OverlappedGroup {
-        sources,
-        delay_ms,
-        rows_per_source,
-        rows,
     }
 }
 
@@ -1264,7 +1075,6 @@ fn render_bench_json(
     rows: &[(&str, u128, u128)],
     conc: &[ConcRow],
     par: &ParGroup,
-    over: &OverlappedGroup,
     tail: &TailGroup,
     magic: &[MagicRow],
     inc: &IncGroup,
@@ -1331,24 +1141,7 @@ fn render_bench_json(
             par.serial_wall_ns as f64 / r.wall_ns.max(1) as f64
         ));
     }
-    out.push_str(&format!(
-        "    ]\n  }},\n  \"overlapped_fetch\": {{\n    \"cores\": {},\n    \"sources\": {},\n    \"stall_ms\": {},\n    \"rows_per_source\": {},\n    \"rows\": [\n",
-        cores(),
-        over.sources,
-        over.delay_ms,
-        over.rows_per_source
-    ));
-    for (i, r) in over.rows.iter().enumerate() {
-        let sep = if i + 1 < over.rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "      {{\"name\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"in_flight\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"peak_threads\": {}}}{sep}\n",
-            r.name, r.mode, r.workers, r.in_flight, r.p50_ns, r.p99_ns, r.peak_threads
-        ));
-    }
-    out.push_str(&format!(
-        "    ],\n    \"overlap_speedup_same_workers\": {:.2}\n  }},\n",
-        over.overlap_speedup()
-    ));
+    out.push_str("    ]\n  },\n");
     let one_core_note = if cores() == 1 {
         ",\n    \"note\": \"1-core host: thread scaling is latency overlap only, not CPU parallelism\""
     } else {

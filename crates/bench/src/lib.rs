@@ -151,83 +151,15 @@ pub fn closure_map(depth: usize, fanout: usize) -> DomainMap {
     figures::anatomy_generated(depth, fanout, 2)
 }
 
-/// Decorates any wrapper with a fixed **real wall-clock** latency per
-/// `query` call — the `parallel_materialize` bench group's stand-in for
-/// a network round-trip. `MemoryWrapper` answers instantly and the
-/// mediator's virtual clock burns no wall time, so without this
-/// decorator the fetch plane would have nothing to overlap and every
-/// thread count would measure the same.
-pub struct LatencyWrapper {
-    inner: Arc<dyn Wrapper>,
-    delay: std::time::Duration,
-}
-
-impl LatencyWrapper {
-    /// Wraps `inner`, adding `delay` of wall time to every query.
-    pub fn new(inner: Arc<dyn Wrapper>, delay: std::time::Duration) -> Arc<Self> {
-        Arc::new(LatencyWrapper { inner, delay })
-    }
-}
-
-impl Wrapper for LatencyWrapper {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn formalism(&self) -> &str {
-        self.inner.formalism()
-    }
-    fn export_cm(&self) -> kind_xml::Element {
-        self.inner.export_cm()
-    }
-    fn capabilities(&self) -> Vec<Capability> {
-        self.inner.capabilities()
-    }
-    fn templates(&self) -> Vec<kind_core::QueryTemplate> {
-        self.inner.templates()
-    }
-    fn anchors(&self) -> Vec<Anchor> {
-        self.inner.anchors()
-    }
-    fn dm_contribution(&self) -> String {
-        self.inner.dm_contribution()
-    }
-    fn query(
-        &self,
-        q: &kind_core::SourceQuery,
-    ) -> std::result::Result<Vec<kind_core::ObjectRow>, kind_core::SourceError> {
-        std::thread::sleep(self.delay);
-        self.inner.query(q)
-    }
-
-    // Stall-aware split-phase protocol: on the overlapped fetch plane
-    // the delay is parked on the executor's timer wheel instead of
-    // pinning a worker thread in the sleep above.
-    fn stall_hint(&self) -> Option<std::time::Duration> {
-        Some(self.delay)
-    }
-
-    fn submit(&self, _q: &kind_core::SourceQuery) -> kind_core::Submission {
-        kind_core::Submission::Parked {
-            stall: self.delay,
-            ticket: 0,
-        }
-    }
-
-    fn complete(
-        &self,
-        _ticket: u64,
-        q: &kind_core::SourceQuery,
-    ) -> std::result::Result<Vec<kind_core::ObjectRow>, kind_core::SourceError> {
-        self.inner.query(q)
-    }
-}
-
 /// A mediator federating `sources` independent object sources, each
-/// behind a [`LatencyWrapper`] charging `delay` of real wall time per
-/// query — the `parallel_materialize` workload. Every source exports its
-/// own class (`c0`, `c1`, …) with `rows` rows anchored at Figure 1
-/// concepts, so a full materialization issues exactly `sources` wrapper
-/// queries and the serial fetch wall time is ~`sources × delay`.
+/// behind a [`kind_core::StallAware`] charging `delay` of real wall time
+/// per query — the `parallel_materialize` workload. `MemoryWrapper`
+/// answers instantly and the mediator's virtual clock burns no wall
+/// time, so without the stall the fetch plane would have nothing to
+/// overlap and every thread count would measure the same. Every source
+/// exports its own class (`c0`, `c1`, …) with `rows` rows anchored at
+/// Figure 1 concepts, so a full materialization issues exactly `sources`
+/// wrapper queries and the serial fetch wall time is ~`sources × delay`.
 pub fn latency_mediator(sources: usize, rows: usize, delay: std::time::Duration) -> Mediator {
     let anchors = ["Spine", "Shaft", "Neuron", "Dendrite"];
     let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
@@ -249,7 +181,7 @@ pub fn latency_mediator(sources: usize, rows: usize, delay: std::time::Duration)
                 vec![("value", GcmValue::Int((s * rows + i) as i64))],
             );
         }
-        m.register(LatencyWrapper::new(Arc::new(w), delay))
+        m.register(kind_core::StallAware::new(Arc::new(w), delay))
             .expect("latency source registers");
     }
     m

@@ -588,17 +588,7 @@ pub struct FaultInjector {
     /// `SlowTail`), reported through [`Wrapper::virtual_cost_ms`] so the
     /// deadline plane can charge each job exactly its own time.
     injected_ms: AtomicU64,
-    /// The call number of the one outstanding parked submission (the
-    /// split-phase protocol allows at most one per wrapper), so
-    /// [`Wrapper::complete`] applies the *same* call's post-faults that
-    /// [`Wrapper::submit`] drew pre-faults for. [`NO_PENDING`] when the
-    /// submission was made while disarmed (or none is outstanding).
-    pending_call: AtomicU64,
 }
-
-/// Sentinel for [`FaultInjector::pending_call`]: no armed submission
-/// outstanding.
-const NO_PENDING: u64 = u64::MAX;
 
 impl fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -622,7 +612,6 @@ impl FaultInjector {
             armed: AtomicBool::new(true),
             calls: AtomicU64::new(0),
             injected_ms: AtomicU64::new(0),
-            pending_call: AtomicU64::new(NO_PENDING),
         }
     }
 
@@ -670,77 +659,6 @@ impl FaultInjector {
                 .push(("__corrupted".into(), GcmValue::Id("??".into()))),
         }
     }
-
-    /// The faults drawn *before* the inner wrapper answers, for call
-    /// number `call`: injected delays and outright failures, in schedule
-    /// order. Shared by the blocking ([`Wrapper::query`]) and split
-    /// ([`Wrapper::submit`]) paths, so a given call number draws the
-    /// identical schedule in both fetch modes.
-    fn pre_faults(&self, call: u64) -> std::result::Result<(), SourceError> {
-        for fault in &self.faults {
-            match *fault {
-                Fault::Slow { delay_ms } => self.inject_delay(delay_ms),
-                Fault::SlowTail {
-                    seed,
-                    delay_ms,
-                    slow_per_mille,
-                    // Salted so a SlowTail and a Flaky sharing a seed
-                    // still draw independent schedules.
-                } if mix(seed ^ 0x7a11 ^ mix(call)) % 1000 < u64::from(slow_per_mille) => {
-                    self.inject_delay(delay_ms);
-                }
-                Fault::FailFirst(n) if call < u64::from(n) => {
-                    return Err(SourceError::Unavailable {
-                        reason: format!("injected fail-first-{n} (call #{call})"),
-                    });
-                }
-                Fault::EveryKth(k) if k > 0 && (call + 1).is_multiple_of(u64::from(k)) => {
-                    return Err(SourceError::Unavailable {
-                        reason: format!("injected every-{k}th failure (call #{call})"),
-                    });
-                }
-                Fault::Flaky {
-                    seed,
-                    fail_per_mille,
-                } if mix(seed ^ mix(call)) % 1000 < u64::from(fail_per_mille) => {
-                    return Err(SourceError::Unavailable {
-                        reason: format!("injected flaky failure (seed {seed}, call #{call})"),
-                    });
-                }
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-
-    /// The faults applied *to* the inner wrapper's answer, for the same
-    /// call number the pre-faults were drawn with.
-    fn post_faults(
-        &self,
-        call: u64,
-        mut rows: Vec<ObjectRow>,
-    ) -> std::result::Result<Vec<ObjectRow>, SourceError> {
-        for fault in &self.faults {
-            match *fault {
-                Fault::TruncateAfter(n) if rows.len() > n => {
-                    return Err(SourceError::Truncated { shipped: n });
-                }
-                Fault::CorruptRows {
-                    seed,
-                    corrupt_per_mille,
-                } => {
-                    for (i, row) in rows.iter_mut().enumerate() {
-                        let h = mix(seed ^ mix(call) ^ (i as u64).wrapping_mul(0x5851));
-                        if h % 1000 < u64::from(corrupt_per_mille) {
-                            Self::corrupt(row, h);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        Ok(rows)
-    }
 }
 
 impl Wrapper for FaultInjector {
@@ -783,58 +701,66 @@ impl Wrapper for FaultInjector {
             return self.inner.query(q);
         }
         let call = self.calls.fetch_add(1, Ordering::SeqCst);
-        self.pre_faults(call)?;
-        let rows = self.inner.query(q)?;
-        self.post_faults(call, rows)
+        for fault in &self.faults {
+            match *fault {
+                Fault::Slow { delay_ms } => self.inject_delay(delay_ms),
+                Fault::SlowTail {
+                    seed,
+                    delay_ms,
+                    slow_per_mille,
+                    // Salted so a SlowTail and a Flaky sharing a seed
+                    // still draw independent schedules.
+                } if mix(seed ^ 0x7a11 ^ mix(call)) % 1000 < u64::from(slow_per_mille) => {
+                    self.inject_delay(delay_ms);
+                }
+                Fault::FailFirst(n) if call < u64::from(n) => {
+                    return Err(SourceError::Unavailable {
+                        reason: format!("injected fail-first-{n} (call #{call})"),
+                    });
+                }
+                Fault::EveryKth(k) if k > 0 && (call + 1).is_multiple_of(u64::from(k)) => {
+                    return Err(SourceError::Unavailable {
+                        reason: format!("injected every-{k}th failure (call #{call})"),
+                    });
+                }
+                Fault::Flaky {
+                    seed,
+                    fail_per_mille,
+                } if mix(seed ^ mix(call)) % 1000 < u64::from(fail_per_mille) => {
+                    return Err(SourceError::Unavailable {
+                        reason: format!("injected flaky failure (seed {seed}, call #{call})"),
+                    });
+                }
+                _ => {}
+            }
+        }
+        let mut rows = self.inner.query(q)?;
+        for fault in &self.faults {
+            match *fault {
+                Fault::TruncateAfter(n) if rows.len() > n => {
+                    return Err(SourceError::Truncated { shipped: n });
+                }
+                Fault::CorruptRows {
+                    seed,
+                    corrupt_per_mille,
+                } => {
+                    for (i, row) in rows.iter_mut().enumerate() {
+                        let h = mix(seed ^ mix(call) ^ (i as u64).wrapping_mul(0x5851));
+                        if h % 1000 < u64::from(corrupt_per_mille) {
+                            Self::corrupt(row, h);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(rows)
     }
 
     fn stall_hint(&self) -> Option<std::time::Duration> {
         // Injected delays are virtual (they advance the clock, not the
         // wall); only the inner wrapper's declared wall stall counts.
         self.inner.stall_hint()
-    }
-
-    fn submit(&self, q: &SourceQuery) -> crate::wrapper::Submission {
-        use crate::wrapper::Submission;
-        if !self.armed.load(Ordering::SeqCst) {
-            // Pass-through, like the disarmed `query` path: do not count
-            // the call, and defer nothing to `complete`.
-            let sub = self.inner.submit(q);
-            if matches!(sub, Submission::Parked { .. }) {
-                self.pending_call.store(NO_PENDING, Ordering::SeqCst);
-            }
-            return sub;
-        }
-        let call = self.calls.fetch_add(1, Ordering::SeqCst);
-        // A pre-fault failure answers inline: the inner wrapper is never
-        // contacted, exactly like the blocking path.
-        if let Err(e) = self.pre_faults(call) {
-            return Submission::Ready(Err(e));
-        }
-        match self.inner.submit(q) {
-            Submission::Ready(r) => {
-                Submission::Ready(r.and_then(|rows| self.post_faults(call, rows)))
-            }
-            Submission::Parked { stall, ticket } => {
-                self.pending_call.store(call, Ordering::SeqCst);
-                Submission::Parked { stall, ticket }
-            }
-        }
-    }
-
-    fn complete(
-        &self,
-        ticket: u64,
-        q: &SourceQuery,
-    ) -> std::result::Result<Vec<ObjectRow>, SourceError> {
-        let r = self.inner.complete(ticket, q);
-        // Apply the parked call's post-faults — captured at submit time,
-        // so an arm/disarm flip mid-flight cannot desynchronise the
-        // draw from its call number.
-        match self.pending_call.swap(NO_PENDING, Ordering::SeqCst) {
-            NO_PENDING => r,
-            call => r.and_then(|rows| self.post_faults(call, rows)),
-        }
     }
 }
 

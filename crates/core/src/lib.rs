@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-mod executor;
 pub mod fault;
 pub mod federation;
 pub mod hub;

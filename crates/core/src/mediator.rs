@@ -577,29 +577,21 @@ impl Mediator {
     /// still compile; it changes nothing.
     pub fn set_eval_threads(&mut self, _threads: usize) {}
 
-    /// Selects the fetch-plane transport (see [`kind_core::FetchMode`]
-    /// via the crate root): scoped thread-per-job, or the overlapped
-    /// executor that parks stalled attempts on a timer wheel. Both
-    /// transports produce bit-identical `FetchSet`s, so switching
-    /// neither dirties the base nor invalidates a cached model; it only
-    /// affects wall clock and thread footprint.
-    pub fn set_fetch_mode(&mut self, mode: crate::FetchMode) {
-        self.federation.set_fetch_mode(mode);
-    }
+    /// Ignored: fetch jobs always run on scoped threads. Kept only
+    /// because the frozen benchmark package (`perfbench/`) still calls
+    /// it; it changes nothing.
+    pub fn set_fetch_mode(&mut self, _mode: crate::FetchMode) {}
 
-    /// The configured fetch-plane transport.
-    pub fn fetch_mode(&self) -> crate::FetchMode {
-        self.federation.fetch_mode()
-    }
-
-    /// Caps how many fetch jobs may be in flight at once on the
-    /// overlapped transport (0 = unlimited). Admission order is job
-    /// order, so the knob is cache-neutral like the other fetch knobs.
+    /// Caps the fetch plane's thread count for plans touching stall-aware
+    /// sources, which otherwise run one thread per source (0 =
+    /// unlimited; see [`crate::Federation::set_in_flight_limit`]). It
+    /// changes wall clock only, so it is cache-neutral like the other
+    /// fetch knobs.
     pub fn set_in_flight_limit(&mut self, n: usize) {
         self.federation.set_in_flight_limit(n);
     }
 
-    /// The configured overlapped-transport admission cap.
+    /// The configured in-flight limit (0 = unlimited).
     pub fn in_flight_limit(&self) -> usize {
         self.federation.in_flight_limit()
     }

@@ -159,15 +159,11 @@ pub enum Anchor {
 }
 
 /// The outcome of a split-phase [`Wrapper::submit`]: either the answer
-/// itself (compute-bound wrappers answer inline) or a parked request the
-/// caller must [`Wrapper::complete`] after roughly `stall` of wall time.
+/// itself or a parked request to [`Wrapper::complete`] later.
 ///
-/// This is how a wrapper opts into the overlapped fetch plane
-/// ([`crate::federation::FetchMode::Overlapped`]): instead of blocking an
-/// OS thread inside [`Wrapper::query`] for the duration of a network
-/// round-trip, it *declares* the stall, the executor parks the fetch job
-/// on a timer wheel, and a worker thread comes back for the rows when
-/// the stall has elapsed.
+/// Kept only because the frozen benchmark package (`perfbench/`)
+/// implements [`Wrapper::submit`]. The mediator never calls `submit` or
+/// `complete`: every fetch goes through [`Wrapper::query`].
 #[derive(Debug)]
 pub enum Submission {
     /// The wrapper answered inline; no parking needed.
@@ -244,39 +240,28 @@ pub trait Wrapper: Send + Sync {
     }
 
     /// The wall-clock stall one query against this source is expected to
-    /// spend waiting on I/O, if the wrapper is **stall-aware** (implements
-    /// the split [`Self::submit`]/[`Self::complete`] protocol). `None` —
+    /// spend waiting on I/O, if the wrapper is **stall-aware**. `None` —
     /// the default — means compute-bound: queries return as fast as the
     /// CPU allows and there is nothing for the fetch plane to overlap.
     ///
     /// The adaptive fetch sizing uses this declaration: a plan touching
-    /// any stall-aware source is latency-bound, so the scoped-thread
-    /// plane sizes its pool by overlap (jobs, capped by the in-flight
+    /// any stall-aware source is latency-bound, so the fetch plane sizes
+    /// its pool by overlap (one thread per job, capped by the in-flight
     /// limit) instead of by core count.
     fn stall_hint(&self) -> Option<std::time::Duration> {
         None
     }
 
-    /// Split-phase query, phase one: start the request. Stall-aware
-    /// wrappers return [`Submission::Parked`] immediately — no blocking —
-    /// and deliver the rows from [`Self::complete`]; everything else
-    /// falls back to answering inline via [`Self::query`].
-    ///
-    /// Contract: at most one submission per wrapper is outstanding at a
-    /// time (the fetch plane runs each source's requests serially inside
-    /// one job, and a hedge backup is only submitted after its primary
-    /// completed), and every `Parked` submission is completed exactly
-    /// once.
+    /// Split-phase query, phase one. Kept only for the frozen benchmark
+    /// package, which overrides it; the mediator never calls it. The
+    /// default answers inline via [`Self::query`].
     fn submit(&self, q: &SourceQuery) -> Submission {
         Submission::Ready(self.query(q))
     }
 
-    /// Split-phase query, phase two: collect a parked submission's rows.
-    /// Called once per [`Submission::Parked`], no earlier than its
-    /// declared stall. The default pairs with the default [`Self::submit`]
-    /// (which never parks) and simply answers the query, so a wrapper
-    /// overriding neither method still behaves correctly in every fetch
-    /// mode.
+    /// Split-phase query, phase two. Kept only for the frozen benchmark
+    /// package, which overrides it; the mediator never calls it. The
+    /// default answers via [`Self::query`].
     fn complete(
         &self,
         _ticket: u64,
@@ -286,16 +271,10 @@ pub trait Wrapper: Send + Sync {
     }
 }
 
-/// Decorates any wrapper with a declared wall-clock `stall` per query —
-/// the generic opt-in adapter for the overlapped fetch plane.
-///
-/// On the blocking path ([`Wrapper::query`], used by
-/// [`crate::federation::FetchMode::ScopedThreads`]) the adapter really
-/// sleeps `stall` of wall time, modelling a network round-trip that
-/// pins its thread. On the split-phase path it parks instead: `submit`
-/// returns [`Submission::Parked`] without blocking, and `complete`
-/// answers from the inner wrapper — so hundreds of stalled sources
-/// overlap on a handful of executor workers.
+/// Decorates any wrapper with a declared wall-clock `stall` per query:
+/// every [`Wrapper::query`] sleeps `stall`, modelling a network
+/// round-trip that pins its thread, and [`Wrapper::stall_hint`] declares
+/// it so the fetch plane sizes its pool by overlap.
 pub struct StallAware {
     inner: std::sync::Arc<dyn Wrapper>,
     stall: std::time::Duration,
@@ -354,21 +333,6 @@ impl Wrapper for StallAware {
 
     fn stall_hint(&self) -> Option<std::time::Duration> {
         Some(self.stall)
-    }
-
-    fn submit(&self, _q: &SourceQuery) -> Submission {
-        Submission::Parked {
-            stall: self.stall,
-            ticket: 0,
-        }
-    }
-
-    fn complete(
-        &self,
-        _ticket: u64,
-        q: &SourceQuery,
-    ) -> std::result::Result<Vec<ObjectRow>, crate::fault::SourceError> {
-        self.inner.query(q)
     }
 }
 

@@ -18,6 +18,10 @@
 //! identifiers starting with an uppercase letter or `_` are variables
 //! (`_` alone is a fresh anonymous variable each time). Strings in double
 //! quotes are constants. `%` and `//` start line comments.
+//!
+//! Function terms, parenthesised expressions and aggregates nest at most
+//! [`MAX_NESTING`] levels deep; deeper input is a parse error, not a
+//! stack overflow.
 
 use crate::atom::{AggFunc, Aggregate, Atom, BodyItem, CmpOp, Expr};
 use crate::error::{DatalogError, Result};
@@ -25,6 +29,11 @@ use crate::interner::Interner;
 use crate::rule::Rule;
 use crate::term::{Term, Var};
 use std::collections::HashMap;
+
+/// How deep function terms, parenthesised expressions and aggregates may
+/// nest (shared with the FL parser). Real rules nest a handful of levels;
+/// the cap keeps untrusted text from exhausting the parser's stack.
+pub const MAX_NESTING: usize = 128;
 
 /// A parsed clause: either a ground fact or a rule.
 #[derive(Debug, Clone)]
@@ -68,6 +77,8 @@ struct Parser<'a> {
     syms: &'a mut Interner,
     vars: HashMap<String, Var>,
     var_names: Vec<String>,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -78,7 +89,25 @@ impl<'a> Parser<'a> {
             syms,
             vars: HashMap::new(),
             var_names: Vec::new(),
+            depth: 0,
         }
+    }
+
+    /// Goes one nesting level deeper, failing past [`MAX_NESTING`].
+    fn deepen(&mut self) -> Result<()> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.deepen()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn nvars(&self) -> u32 {
@@ -233,11 +262,14 @@ impl<'a> Parser<'a> {
             return Ok(Term::Var(self.var(name)));
         }
         if self.eat("(") {
-            let mut args = vec![self.term()?];
-            while self.eat(",") {
-                args.push(self.term()?);
-            }
-            self.expect(")")?;
+            let args = self.nested(|p| {
+                let mut args = vec![p.term()?];
+                while p.eat(",") {
+                    args.push(p.term()?);
+                }
+                p.expect(")")?;
+                Ok(args)
+            })?;
             Ok(Term::func(self.syms.intern(&name), args))
         } else {
             Ok(Term::Const(self.syms.intern(&name)))
@@ -266,22 +298,35 @@ impl<'a> Parser<'a> {
     }
 
     /// expr := mul (('+'|'-') mul)*
+    ///
+    /// Every operator deepens the left-leaning tree by one level, so it
+    /// counts against [`MAX_NESTING`] until the whole expression is parsed.
     fn expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
+        let out = self.expr_sum();
+        self.depth = depth;
+        out
+    }
+
+    fn expr_sum(&mut self) -> Result<Expr> {
         let mut lhs = self.expr_mul()?;
         loop {
             self.skip_ws();
-            if self.eat("+") {
-                lhs = Expr::Add(Box::new(lhs), Box::new(self.expr_mul()?));
-            } else if self.peek() == b'-' && !self.peek2().is_ascii_digit() {
+            let add = if self.eat("+") {
+                true
+            } else if self.peek() == b'-' {
                 self.pos += 1;
-                lhs = Expr::Sub(Box::new(lhs), Box::new(self.expr_mul()?));
-            } else if self.peek() == b'-' && self.peek2().is_ascii_digit() {
-                // `X - 3`: subtraction, not a negative literal argument.
-                self.pos += 1;
-                lhs = Expr::Sub(Box::new(lhs), Box::new(self.expr_mul()?));
+                false
             } else {
                 return Ok(lhs);
-            }
+            };
+            self.deepen()?;
+            let (l, r) = (Box::new(lhs), Box::new(self.expr_mul()?));
+            lhs = if add {
+                Expr::Add(l, r)
+            } else {
+                Expr::Sub(l, r)
+            };
         }
     }
 
@@ -290,21 +335,28 @@ impl<'a> Parser<'a> {
         let mut lhs = self.expr_prim()?;
         loop {
             self.skip_ws();
-            if self.eat("*") {
-                lhs = Expr::Mul(Box::new(lhs), Box::new(self.expr_prim()?));
+            let mul = if self.eat("*") {
+                true
             } else if self.peek() == b'/' && self.peek2() != b'/' {
                 self.pos += 1;
-                lhs = Expr::Div(Box::new(lhs), Box::new(self.expr_prim()?));
+                false
             } else {
                 return Ok(lhs);
-            }
+            };
+            self.deepen()?;
+            let (l, r) = (Box::new(lhs), Box::new(self.expr_prim()?));
+            lhs = if mul {
+                Expr::Mul(l, r)
+            } else {
+                Expr::Div(l, r)
+            };
         }
     }
 
     fn expr_prim(&mut self) -> Result<Expr> {
         self.skip_ws();
         if self.eat("(") {
-            let e = self.expr()?;
+            let e = self.nested(Self::expr)?;
             self.expect(")")?;
             return Ok(e);
         }
@@ -402,7 +454,7 @@ impl<'a> Parser<'a> {
                             let Expr::Term(Term::Var(result)) = lhs else {
                                 return Err(self.err("aggregate result must be a single variable"));
                             };
-                            return self.aggregate(func, result);
+                            return self.nested(|p| p.aggregate(func, result));
                         }
                     }
                     self.pos = save2;
@@ -568,6 +620,45 @@ mod tests {
         let (a, nv) = parse_atom("tc(a, X)", &mut syms).unwrap();
         assert_eq!(a.args.len(), 2);
         assert_eq!(nv, 1);
+    }
+
+    /// `p(f(f(...f(a)...)))` with `depth` nested `f(`.
+    fn nested_fact(depth: usize) -> String {
+        format!("p({}a{}).", "f(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        let (cs, _) = parse_ok(&nested_fact(MAX_NESTING));
+        assert_eq!(cs.len(), 1);
+        let rule = format!(
+            "q(Y) :- r(X), Y = {}X{}.",
+            "(".repeat(MAX_NESTING),
+            ")".repeat(MAX_NESTING)
+        );
+        assert_eq!(parse_ok(&rule).0.len(), 1);
+        let chain = format!("q(Y) :- r(X), Y = X{}.", "+1".repeat(MAX_NESTING));
+        assert_eq!(parse_ok(&chain).0.len(), 1);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        let mut syms = Interner::new();
+        for depth in [MAX_NESTING + 1, 100_000] {
+            let err = parse_program(&nested_fact(depth), &mut syms).unwrap_err();
+            assert!(matches!(err, DatalogError::Parse { .. }), "{err:?}");
+            let pattern = format!("p({}a{})", "f(".repeat(depth), ")".repeat(depth));
+            assert!(parse_atom(&pattern, &mut syms).is_err());
+            let rule = format!(
+                "q(Y) :- r(X), Y = {}X{}.",
+                "(".repeat(depth),
+                ")".repeat(depth)
+            );
+            assert!(parse_program(&rule, &mut syms).is_err());
+            // A long operator chain builds an equally deep tree.
+            let chain = format!("q(Y) :- r(X), Y = X{}.", "*2".repeat(depth));
+            assert!(parse_program(&chain, &mut syms).is_err());
+        }
     }
 
     #[test]

@@ -15,9 +15,14 @@
 //! The `W : ic` head form (a witness object inserted into the
 //! distinguished inconsistency class, paper §3 IC / Example 2) is ordinary
 //! `IsA` syntax and needs no special casing.
+//!
+//! Function terms, parenthesised expressions and aggregates nest at most
+//! [`MAX_NESTING`] levels deep, as in the Datalog parser; deeper input is
+//! a parse error, not a stack overflow.
 
 use crate::ast::{ArrowKind, MethodSpec, Molecule};
-use kind_datalog::{AggFunc, Atom, DatalogError, Interner, Term, Var};
+use kind_datalog::parser::MAX_NESTING;
+use kind_datalog::{AggFunc, Atom, DatalogError, Expr, Interner, Term, Var};
 use std::collections::HashMap;
 
 /// A body item at the FL level.
@@ -28,9 +33,9 @@ pub enum FlBodyItem {
     /// A negated molecule (must translate to a single atom).
     Neg(Molecule),
     /// Comparison between expressions.
-    Cmp(kind_datalog::CmpOp, kind_datalog::Expr, kind_datalog::Expr),
+    Cmp(kind_datalog::CmpOp, Expr, Expr),
     /// Assignment `T = expr`.
-    Assign(Term, kind_datalog::Expr),
+    Assign(Term, Expr),
     /// Aggregate `R = func{ value [groups] : body }` with an FL body.
     Agg {
         /// Fold function.
@@ -95,6 +100,8 @@ struct FlParser<'a> {
     syms: &'a mut Interner,
     vars: HashMap<String, Var>,
     var_names: Vec<String>,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> FlParser<'a> {
@@ -105,7 +112,28 @@ impl<'a> FlParser<'a> {
             syms,
             vars: HashMap::new(),
             var_names: Vec::new(),
+            depth: 0,
         }
+    }
+
+    /// Goes one nesting level deeper, failing past [`MAX_NESTING`].
+    fn deepen(&mut self) -> Result<(), DatalogError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, DatalogError>,
+    ) -> Result<T, DatalogError> {
+        self.deepen()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn err(&self, msg: &str) -> DatalogError {
@@ -260,11 +288,14 @@ impl<'a> FlParser<'a> {
             return Ok(Term::Var(self.var(name)));
         }
         if self.eat("(") {
-            let mut args = vec![self.term()?];
-            while self.eat(",") {
-                args.push(self.term()?);
-            }
-            self.expect(")")?;
+            let args = self.nested(|p| {
+                let mut args = vec![p.term()?];
+                while p.eat(",") {
+                    args.push(p.term()?);
+                }
+                p.expect(")")?;
+                Ok(args)
+            })?;
             Ok(Term::func(self.syms.intern(&name), args))
         } else {
             Ok(Term::Const(self.syms.intern(&name)))
@@ -361,43 +392,66 @@ impl<'a> FlParser<'a> {
         None
     }
 
-    fn expr(&mut self) -> Result<kind_datalog::Expr, DatalogError> {
-        use kind_datalog::Expr;
+    /// expr := mul (('+'|'-') mul)*
+    ///
+    /// Every operator deepens the left-leaning tree by one level, so it
+    /// counts against [`MAX_NESTING`] until the whole expression is parsed.
+    fn expr(&mut self) -> Result<Expr, DatalogError> {
+        let depth = self.depth;
+        let out = self.expr_sum();
+        self.depth = depth;
+        out
+    }
+
+    fn expr_sum(&mut self) -> Result<Expr, DatalogError> {
         let mut lhs = self.expr_mul()?;
         loop {
             self.skip_ws();
-            if self.eat("+") {
-                lhs = Expr::Add(Box::new(lhs), Box::new(self.expr_mul()?));
+            let add = if self.eat("+") {
+                true
             } else if self.peek() == b'-' {
                 self.pos += 1;
-                lhs = Expr::Sub(Box::new(lhs), Box::new(self.expr_mul()?));
+                false
             } else {
                 return Ok(lhs);
-            }
+            };
+            self.deepen()?;
+            let (l, r) = (Box::new(lhs), Box::new(self.expr_mul()?));
+            lhs = if add {
+                Expr::Add(l, r)
+            } else {
+                Expr::Sub(l, r)
+            };
         }
     }
 
-    fn expr_mul(&mut self) -> Result<kind_datalog::Expr, DatalogError> {
-        use kind_datalog::Expr;
+    /// mul := prim (('*'|'/') prim)*
+    fn expr_mul(&mut self) -> Result<Expr, DatalogError> {
         let mut lhs = self.expr_prim()?;
         loop {
             self.skip_ws();
-            if self.eat("*") {
-                lhs = Expr::Mul(Box::new(lhs), Box::new(self.expr_prim()?));
+            let mul = if self.eat("*") {
+                true
             } else if self.peek() == b'/' && self.peek_at(1) != b'/' {
                 self.pos += 1;
-                lhs = Expr::Div(Box::new(lhs), Box::new(self.expr_prim()?));
+                false
             } else {
                 return Ok(lhs);
-            }
+            };
+            self.deepen()?;
+            let (l, r) = (Box::new(lhs), Box::new(self.expr_prim()?));
+            lhs = if mul {
+                Expr::Mul(l, r)
+            } else {
+                Expr::Div(l, r)
+            };
         }
     }
 
-    fn expr_prim(&mut self) -> Result<kind_datalog::Expr, DatalogError> {
-        use kind_datalog::Expr;
+    fn expr_prim(&mut self) -> Result<Expr, DatalogError> {
         self.skip_ws();
         if self.eat("(") {
-            let e = self.expr()?;
+            let e = self.nested(Self::expr)?;
             self.expect(")")?;
             return Ok(e);
         }
@@ -429,7 +483,7 @@ impl<'a> FlParser<'a> {
                                 let Term::Var(result) = t else {
                                     return Err(self.err("aggregate result must be a variable"));
                                 };
-                                return self.aggregate(func, result);
+                                return self.nested(|p| p.aggregate(func, result));
                             }
                         }
                         self.pos = save2;
@@ -438,7 +492,7 @@ impl<'a> FlParser<'a> {
                     return Ok(FlBodyItem::Assign(t, rhs));
                 }
                 let rhs = self.expr()?;
-                return Ok(FlBodyItem::Cmp(op, kind_datalog::Expr::Term(t), rhs));
+                return Ok(FlBodyItem::Cmp(op, Expr::Term(t), rhs));
             }
             // Arithmetic comparison with compound lhs, e.g. `X + 1 < Y`?
             self.skip_ws();
@@ -634,6 +688,47 @@ mod tests {
         let (m, names) = parse_fl_molecule("X : purkinje_cell", &mut syms).unwrap();
         assert!(matches!(m, Molecule::IsA { .. }));
         assert_eq!(names, vec!["X"]);
+    }
+
+    /// `p(f(f(...f(a)...)))` with `depth` nested `f(`.
+    fn nested_fact(depth: usize) -> String {
+        format!("p({}a{}).", "f(".repeat(depth), ")".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        // A plain FL atom is a function-shaped term, so `p(` is the first
+        // of the MAX_NESTING levels.
+        let (cs, _) = parse_ok(&nested_fact(MAX_NESTING - 1));
+        assert_eq!(cs.len(), 1);
+        let rule = format!(
+            "q(Y) :- r(X), Y = {}X{}.",
+            "(".repeat(MAX_NESTING),
+            ")".repeat(MAX_NESTING)
+        );
+        assert_eq!(parse_ok(&rule).0.len(), 1);
+        let chain = format!("q(Y) :- r(X), Y = X{}.", "+1".repeat(MAX_NESTING));
+        assert_eq!(parse_ok(&chain).0.len(), 1);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        let mut syms = Interner::new();
+        for depth in [MAX_NESTING + 1, 100_000] {
+            let err = parse_fl_program(&nested_fact(depth), &mut syms).unwrap_err();
+            assert!(matches!(err, DatalogError::Parse { .. }), "{err:?}");
+            let molecule = format!("X : {}c{}", "f(".repeat(depth), ")".repeat(depth));
+            assert!(parse_fl_molecule(&molecule, &mut syms).is_err());
+            let rule = format!(
+                "q(Y) :- r(X), Y = {}X{}.",
+                "(".repeat(depth),
+                ")".repeat(depth)
+            );
+            assert!(parse_fl_program(&rule, &mut syms).is_err());
+            // A long operator chain builds an equally deep tree.
+            let chain = format!("q(Y) :- r(X), Y = X{}.", "*2".repeat(depth));
+            assert!(parse_fl_program(&chain, &mut syms).is_err());
+        }
     }
 
     #[test]

@@ -357,3 +357,53 @@ fn shutdown_op_unwinds_the_server() {
         }
     }
 }
+
+#[test]
+fn deeply_nested_rules_are_query_errors_not_crashes() {
+    let (handle, addr) = small_server(2, 64);
+    let mut conn = Conn::connect(&addr).unwrap();
+    // 100,000 nested function terms: without the parser's nesting limit
+    // this overflows a worker's stack and aborts the whole process.
+    let depth = 100_000;
+    let rule = format!("p(X) :- q({}X{}).", "f(".repeat(depth), ")".repeat(depth));
+    let resp = conn
+        .request(obj([
+            ("op", Json::str("answer")),
+            ("rule", Json::str(&rule)),
+        ]))
+        .unwrap();
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        resp.get("error").and_then(Json::as_str),
+        Some("query_error")
+    );
+    let pattern = format!("X : {}c{}", "f(".repeat(depth), ")".repeat(depth));
+    let resp = conn
+        .request(obj([
+            ("op", Json::str("query_fl")),
+            ("pattern", Json::str(&pattern)),
+        ]))
+        .unwrap();
+    assert_eq!(
+        resp.get("error").and_then(Json::as_str),
+        Some("query_error")
+    );
+
+    // The server is still up: a fresh connection pings and answers.
+    let mut fresh = Conn::connect(&addr).unwrap();
+    let resp = fresh.request(obj([("op", Json::str("ping"))])).unwrap();
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+    let resp = fresh
+        .request(obj([
+            ("op", Json::str("answer")),
+            (
+                "rule",
+                Json::str(r#"names(P) :- X : protein_amount, X[protein_name -> P]."#),
+            ),
+        ]))
+        .unwrap();
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+    assert!(!resp.get("rows").and_then(Json::as_arr).unwrap().is_empty());
+
+    handle.shutdown();
+}

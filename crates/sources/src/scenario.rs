@@ -53,13 +53,12 @@ pub struct ScenarioParams {
     /// demand transformation. Answer-preserving either way; full
     /// materialization never applies it.
     pub magic_sets: bool,
-    /// Fetch-plane transport: scoped thread-per-job (default), or the
-    /// overlapped executor that parks stalled attempts on a timer wheel.
-    /// Bit-identical results either way; only wall clock and thread
-    /// footprint change.
+    /// Ignored: fetch jobs always run on scoped threads. Kept only
+    /// because the frozen benchmark package (`perfbench/`) still sets
+    /// it; no scenario builder reads it.
     pub fetch_mode: kind_core::FetchMode,
-    /// Overlapped-transport admission cap: how many fetch jobs may be in
-    /// flight at once (0 = unlimited).
+    /// Caps the fetch plane's thread count for plans touching
+    /// stall-aware sources (0 = unlimited).
     pub in_flight: usize,
 }
 
@@ -163,7 +162,6 @@ pub fn ncmir_update_rows(seed: u64, batch: usize, rows: usize) -> Vec<kind_core:
 pub fn build_scenario(params: &ScenarioParams) -> Mediator {
     let mut m = Mediator::new(scenario_domain_map(), params.mode);
     m.federation_mut().set_fetch_threads(params.fetch_threads);
-    m.set_fetch_mode(params.fetch_mode);
     m.set_in_flight_limit(params.in_flight);
     m.set_magic_sets(params.magic_sets);
     m.set_query_budget_ms(params.query_budget_ms);
@@ -204,7 +202,6 @@ pub fn build_scenario_with_faults(
 ) -> (Mediator, Arc<FaultInjector>) {
     let mut m = Mediator::new(scenario_domain_map(), params.mode);
     m.federation_mut().set_fetch_threads(params.fetch_threads);
-    m.set_fetch_mode(params.fetch_mode);
     m.set_in_flight_limit(params.in_flight);
     m.set_magic_sets(params.magic_sets);
     m.set_query_budget_ms(params.query_budget_ms);

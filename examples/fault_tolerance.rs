@@ -12,15 +12,13 @@
 //! ```
 
 use kind::core::{
-    run_section5, Anchor, BreakerConfig, Capability, Fault, FaultInjector, FetchMode, FetchRequest,
-    Mediator, MemoryWrapper, NeuroSchema, RetryPolicy, Section5Query, SourcePolicy, StallAware,
-    Wrapper,
+    run_section5, Anchor, BreakerConfig, Capability, Fault, FaultInjector, FetchRequest, Mediator,
+    MemoryWrapper, NeuroSchema, RetryPolicy, Section5Query, SourcePolicy, Wrapper,
 };
 use kind::dm::{figures, ExecMode};
 use kind::gcm::GcmValue;
 use kind::sources::{build_scenario_with_faults, ScenarioParams};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn query() -> Section5Query {
     Section5Query {
@@ -139,16 +137,15 @@ fn main() {
             q.source, q.class, q.row_id, q.reason
         );
     }
-    println!("\n== overlapped fetch: 32 stalling sources without 32 threads ==");
-    overlapped_slow_tail_demo();
+    println!("\n== hedging: 32 sources with a seeded 400ms slow tail ==");
+    hedged_slow_tail_demo();
 
     println!("ok");
 }
 
-/// A federation of 32 independent sources, each stalling `stall` of real
-/// wall time per contact (a network round-trip) and carrying a seeded
+/// A federation of 32 independent sources, each carrying a seeded
 /// virtual-time latency tail. `hedge` arms a 50ms hedge threshold.
-fn slow_tail_federation(hedge: bool, stall: Duration) -> Mediator {
+fn slow_tail_federation(hedge: bool) -> Mediator {
     let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
     if hedge {
         m.set_default_policy(SourcePolicy::with_hedge_after_ms(50));
@@ -169,8 +166,7 @@ fn slow_tail_federation(hedge: bool, stall: Duration) -> Mediator {
             &format!("s{s}"),
             vec![("value", GcmValue::Int(s as i64))],
         );
-        let stalled = StallAware::new(Arc::new(w), stall);
-        let injector = Arc::new(FaultInjector::new(stalled, m.clock()).with_fault(
+        let injector = Arc::new(FaultInjector::new(Arc::new(w), m.clock()).with_fault(
             Fault::SlowTail {
                 seed: 40 + s as u64,
                 delay_ms: 400,
@@ -185,11 +181,9 @@ fn slow_tail_federation(hedge: bool, stall: Duration) -> Mediator {
     m
 }
 
-/// The PR 10 demo: hedging collapses the *virtual-time* p99 (the seeded
-/// tail is re-rolled by the backup attempt), while the overlapped
-/// executor collapses the *thread* footprint — all 32 wall stalls park on
-/// one timer wheel instead of each pinning a worker.
-fn overlapped_slow_tail_demo() {
+/// Hedging collapses the virtual-time p99: the seeded tail is re-rolled
+/// by the backup attempt, and a hedge charges only the winner.
+fn hedged_slow_tail_demo() {
     let requests: Vec<FetchRequest> = (0..32)
         .map(|s| FetchRequest::scan(format!("S{s}"), format!("c{s}")))
         .collect();
@@ -197,14 +191,11 @@ fn overlapped_slow_tail_demo() {
         sorted[((sorted.len() - 1) as f64 * p).round() as usize]
     };
 
-    // Virtual-time tail, hedged vs. not: 8 rounds × 32 sources, one
-    // charged-cost sample per fetch. A hedge charges only the winning
-    // attempt, so the seeded 400ms tail collapses to the ~50ms it takes
-    // the backup to answer.
+    // 8 rounds × 32 sources, one charged-cost sample per fetch. The
+    // seeded 400ms tail collapses to the ~50ms it takes the backup to
+    // answer.
     for hedge in [false, true] {
-        let mut m = slow_tail_federation(hedge, Duration::from_millis(1));
-        m.set_fetch_mode(FetchMode::Overlapped);
-        m.federation_mut().set_fetch_threads(4);
+        let mut m = slow_tail_federation(hedge);
         let mut samples: Vec<u64> = Vec::new();
         for _ in 0..8 {
             for r in &requests {
@@ -224,28 +215,4 @@ fn overlapped_slow_tail_demo() {
             percentile(&samples, 0.99),
         );
     }
-
-    // Wall time and thread footprint, scoped vs. overlapped. The scoped
-    // plane sees the stall hints and sizes thread-per-source (32 workers
-    // on any host); the overlapped executor parks the same 32 stalls on
-    // 4 workers.
-    for (label, mode, workers) in [
-        ("scoped    ", FetchMode::ScopedThreads, 0usize),
-        ("overlapped", FetchMode::Overlapped, 4),
-    ] {
-        let mut m = slow_tail_federation(false, Duration::from_millis(5));
-        m.set_fetch_mode(mode);
-        m.federation_mut().set_fetch_threads(workers);
-        m.federation_mut().reset_peak_fetch_threads();
-        let start = Instant::now();
-        let set = m.federation_mut().fetch_parallel(&requests).expect("fetch");
-        let wall = start.elapsed();
-        assert!(set.is_complete());
-        println!(
-            "  {label} wall {:>5.1}ms, peak fetch threads {:>2}",
-            wall.as_secs_f64() * 1e3,
-            m.federation().peak_fetch_threads(),
-        );
-    }
-    println!("  same rows, same reports — only wall clock and threads differ");
 }

@@ -4,14 +4,13 @@
 //! For every seed we derive a deterministic configuration — which faults
 //! hit SENSELAB, whether a query budget is armed, whether hedging is on —
 //! and run the full plan at `fetch_threads` ∈ `{1, N}` (N from
-//! `KIND_CHAOS_THREADS`, default 8), crossed with both fetch transports
-//! (scoped threads and the overlapped executor). The invariants:
+//! `KIND_CHAOS_THREADS`, default 8). The invariants:
 //!
 //! * nothing panics — every configuration degrades, it never aborts;
 //! * the [`kind::core::AnswerReport`] (outcomes, attempts, hedges,
-//!   cancellations, elapsed time) is **bit-identical** across all thread
-//!   counts and transports, and across repeat runs of the same
-//!   configuration;
+//!   cancellations, elapsed time) is **bit-identical** across thread
+//!   counts and across repeat runs of the same configuration, and at the
+//!   fixed seeds it matches pinned digests;
 //! * whenever the report says `is_complete()`, the answer itself is
 //!   bit-identical to the fault-free baseline.
 //!
@@ -25,7 +24,7 @@
 //! the sweep with e.g. `KIND_CHAOS_SEEDS="1,2,3,4,5" cargo test --test
 //! chaos_soak`.
 
-use kind::core::{run_section5, Fault, FetchMode, NeuroSchema, PlanTrace, Section5Query};
+use kind::core::{run_section5, Fault, NeuroSchema, PlanTrace, Section5Query};
 use kind::sources::{build_scenario, build_scenario_with_faults, ScenarioParams};
 
 /// splitmix64 — the same deterministic scrambler the fault injector uses
@@ -126,10 +125,9 @@ fn fingerprint(trace: &PlanTrace) -> (String, String) {
     (report, answer)
 }
 
-fn run_once(cfg: &ChaosConfig, fetch_threads: usize, fetch_mode: FetchMode) -> (String, String) {
+fn run_once(cfg: &ChaosConfig, fetch_threads: usize) -> (String, String) {
     let params = ScenarioParams {
         fetch_threads,
-        fetch_mode,
         query_budget_ms: cfg.query_budget_ms,
         hedge_after_ms: cfg.hedge_after_ms,
         ..ScenarioParams::default()
@@ -152,37 +150,22 @@ fn chaos_soak_is_deterministic_and_degrades_gracefully() {
     };
     for seed in seeds_from_env() {
         let cfg = derive_config(seed);
-        // Thread counts crossed with both fetch transports: the
-        // overlapped executor must reproduce the scoped plane's reports
-        // and answers bit for bit under every chaos schedule.
-        let mut combos = Vec::new();
-        for mode in [FetchMode::ScopedThreads, FetchMode::Overlapped] {
-            for f in [1, hi] {
-                combos.push((f, mode));
-            }
-        }
-        let runs: Vec<(String, String)> = combos
-            .iter()
-            .map(|&(f, mode)| run_once(&cfg, f, mode))
-            .collect();
-        // Bit-identical reports and answers at every combination.
-        for (combo, run) in combos.iter().zip(&runs).skip(1) {
-            assert_eq!(
-                run, &runs[0],
-                "seed {seed}: {combo:?} diverged from (1,scoped) under {cfg:?}"
-            );
-        }
-        // Repeat-run determinism at the high-thread setting, both modes.
-        for mode in [FetchMode::ScopedThreads, FetchMode::Overlapped] {
-            let again = run_once(&cfg, hi, mode);
-            assert_eq!(
-                again, runs[0],
-                "seed {seed}: repeat {mode:?} run diverged under {cfg:?}"
-            );
-        }
+        // Bit-identical reports and answers at both thread counts, and on
+        // a repeat run at the high-thread setting.
+        let serial = run_once(&cfg, 1);
+        assert_eq!(
+            run_once(&cfg, hi),
+            serial,
+            "seed {seed}: {hi} threads diverged from 1 under {cfg:?}"
+        );
+        assert_eq!(
+            run_once(&cfg, hi),
+            serial,
+            "seed {seed}: repeat run at {hi} threads diverged under {cfg:?}"
+        );
         // A report that claims completeness must back it up: the answer
         // equals the fault-free baseline bit for bit.
-        let (_report, answer) = &runs[0];
+        let (_report, answer) = &serial;
         let params = ScenarioParams {
             query_budget_ms: cfg.query_budget_ms,
             hedge_after_ms: cfg.hedge_after_ms,
@@ -201,14 +184,9 @@ fn chaos_soak_is_deterministic_and_degrades_gracefully() {
     }
 }
 
-/// The ISSUE's acceptance scenario, pinned as a regression: an 8-source
-/// scenario with one injected 10×-slow tail either completes via a hedge
-/// or reports `DeadlineExceeded` — and does so bit-identically at every
-/// thread count.
-#[test]
-fn slow_tail_with_deadline_and_hedge_is_reproducible() {
-    let hi = high_threads_from_env();
-    let cfg = ChaosConfig {
+/// One 10×-slow tail on SENSELAB under a loose deadline with hedging on.
+fn slow_tail_config() -> ChaosConfig {
+    ChaosConfig {
         faults: vec![Fault::SlowTail {
             seed: 2001,
             delay_ms: 500, // 10× the 50ms hedge threshold
@@ -216,16 +194,20 @@ fn slow_tail_with_deadline_and_hedge_is_reproducible() {
         }],
         query_budget_ms: 2_000,
         hedge_after_ms: 50,
-    };
-    let baseline = run_once(&cfg, 1, FetchMode::ScopedThreads);
-    for mode in [FetchMode::ScopedThreads, FetchMode::Overlapped] {
-        for f in [1, hi] {
-            assert_eq!(
-                run_once(&cfg, f, mode),
-                baseline,
-                "threads {f} mode {mode:?}"
-            );
-        }
+    }
+}
+
+/// The acceptance scenario, pinned as a regression: an 8-source
+/// scenario with one injected 10×-slow tail either completes via a hedge
+/// or reports `DeadlineExceeded` — and does so bit-identically at every
+/// thread count.
+#[test]
+fn slow_tail_with_deadline_and_hedge_is_reproducible() {
+    let hi = high_threads_from_env();
+    let cfg = slow_tail_config();
+    let baseline = run_once(&cfg, 1);
+    for f in [1, hi] {
+        assert_eq!(run_once(&cfg, f), baseline, "threads {f}");
     }
     // The report must show the deadline plane actually engaged: either a
     // hedge rescued the tail (answer complete) or the deadline cut it off.
@@ -244,4 +226,73 @@ fn slow_tail_with_deadline_and_hedge_is_reproducible() {
         trace.report.summary_line()
     );
     assert!(trace.report.elapsed_ms <= trace.report.budget_ms || trace.report.deadline_exceeded());
+}
+
+/// 64-bit FNV-1a: a short, stable digest of a report string.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Absolute pins on the fetch plane's reports. The other oracles here
+/// are relative (one thread count against another), so a change to the
+/// guarded-fetch loop that moved attempts, hedges, cancellations or
+/// `elapsed_ms` the same way at every thread count would pass them all.
+/// These digests were recorded before the loop was last rewritten and
+/// must not move without a deliberate change to fetch semantics.
+#[test]
+fn chaos_reports_are_pinned() {
+    let pins: [(&str, ChaosConfig, u64, &str); 4] = [
+        (
+            "seed 2001",
+            derive_config(2001),
+            0x6448_74d9_7950_1503,
+            "DEADLINE EXCEEDED (1 of 1 sources) · 1 sources, 0 rows, 2 attempts, \
+             1 hedged, 2 cancelled, 539ms of 194ms budget",
+        ),
+        (
+            "seed 7",
+            derive_config(7),
+            0x521f_1c39_b075_dc6f,
+            "complete · 2 sources, 34 rows, 3 attempts, 0ms of 8965ms budget",
+        ),
+        (
+            "seed 42",
+            derive_config(42),
+            0xd801_4765_31fa_89c9,
+            "complete · 2 sources, 34 rows, 4 attempts, 1 hedged, 1 cancelled, 61ms",
+        ),
+        (
+            "slow tail",
+            slow_tail_config(),
+            0x0828_cb4e_c1e7_bd57,
+            "complete · 2 sources, 34 rows, 4 attempts, 1 hedged, 1 cancelled, \
+             50ms of 2000ms budget",
+        ),
+    ];
+    for (label, cfg, digest, summary) in pins {
+        for fetch_threads in [1, high_threads_from_env()] {
+            let params = ScenarioParams {
+                fetch_threads,
+                query_budget_ms: cfg.query_budget_ms,
+                hedge_after_ms: cfg.hedge_after_ms,
+                ..ScenarioParams::default()
+            };
+            let (mut m, _inj) = build_scenario_with_faults(&params, cfg.faults.clone());
+            let trace = run_section5(&mut m, &NeuroSchema::default(), &s5_query(), true)
+                .expect("plan runs");
+            let (report, _) = fingerprint(&trace);
+            assert_eq!(
+                trace.report.summary_line(),
+                summary,
+                "{label} at {fetch_threads} threads"
+            );
+            assert_eq!(
+                fnv1a(&report),
+                digest,
+                "{label} at {fetch_threads} threads: report {report}"
+            );
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants.
 
-use kind::core::{run_section5, Fault, FetchMode, NeuroSchema, Section5Query};
+use kind::core::{run_section5, Fault, NeuroSchema, Section5Query};
 use kind::datalog::{Engine, EvalOptions, FactStore, Model};
 use kind::dm::{DomainMap, Resolved};
 use kind::sources::{
@@ -403,7 +403,7 @@ proptest! {
                 corrupt_per_mille,
             },
         ];
-        let run = |threads: usize, mode: FetchMode| {
+        let run = |threads: usize| {
             let params = ScenarioParams {
                 seed,
                 senselab_rows: 10,
@@ -412,7 +412,6 @@ proptest! {
                 noise_sources: 1,
                 noise_rows: 5,
                 fetch_threads: threads,
-                fetch_mode: mode,
                 ..Default::default()
             };
             let (mut m, _inj) = build_scenario_with_faults(&params, faults());
@@ -432,38 +431,28 @@ proptest! {
             facts.sort();
             (facts, m.report().clone(), m.stats())
         };
-        let (serial_model, serial_report, serial_stats) = run(1, FetchMode::ScopedThreads);
-        for (threads, mode) in [
-            (8, FetchMode::ScopedThreads),
-            (1, FetchMode::Overlapped),
-            (8, FetchMode::Overlapped),
-        ] {
-            let (par_model, par_report, par_stats) = run(threads, mode);
-            prop_assert_eq!(&serial_model, &par_model,
-                "model diverges: threads={} mode={:?}", threads, mode);
-            prop_assert_eq!(&serial_report, &par_report,
-                "report diverges: threads={} mode={:?}", threads, mode);
-            prop_assert_eq!(&serial_stats, &par_stats,
-                "stats diverge: threads={} mode={:?}", threads, mode);
-        }
+        let (serial_model, serial_report, serial_stats) = run(1);
+        let (par_model, par_report, par_stats) = run(8);
+        prop_assert_eq!(&serial_model, &par_model, "model diverges");
+        prop_assert_eq!(&serial_report, &par_report, "report diverges");
+        prop_assert_eq!(&serial_stats, &par_stats, "stats diverge");
     }
 }
 
-// ---------- Fetch transport: scoped == overlapped, byte for byte --------
+// ---------- Fetch threads: 1 == 8 under the deadline plane, byte for byte
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// PR 10's tentpole invariant: with *virtual-clock* fault schedules
-    /// in play — a seeded latency tail driving the hedge path, flaky
-    /// failures driving retries and the circuit breaker, all under an
-    /// end-to-end deadline — the full §5 answer, its degradation report
-    /// (including quarantine counters), and the breaker's final state
-    /// are exactly equal across `fetch_mode × worker count`. The
-    /// overlapped executor may interleave parked attempts arbitrarily;
+    /// With *virtual-clock* fault schedules in play — a seeded latency
+    /// tail driving the hedge path, flaky failures driving retries and
+    /// the circuit breaker, all under an end-to-end deadline — the full
+    /// §5 answer, its degradation report (including quarantine
+    /// counters), and the breaker's final state are exactly equal at 1
+    /// and 8 fetch workers. Workers may interleave jobs arbitrarily;
     /// none of it may show through to any observable.
     #[test]
-    fn fetch_transport_is_invisible_under_faults_hedges_and_deadlines(
+    fn fetch_thread_count_is_invisible_under_faults_hedges_and_deadlines(
         seed in 0u64..u64::MAX,
         slow_per_mille in 0u16..800,
         fail_per_mille in 0u16..300,
@@ -474,7 +463,7 @@ proptest! {
             Fault::SlowTail { seed, delay_ms: 30, slow_per_mille },
             Fault::Flaky { seed: seed.rotate_left(11), fail_per_mille },
         ];
-        let run = |threads: usize, mode: FetchMode| {
+        let run = |threads: usize| {
             let params = ScenarioParams {
                 senselab_rows: 10,
                 ncmir_rows: 15,
@@ -482,7 +471,6 @@ proptest! {
                 noise_sources: 1,
                 noise_rows: 5,
                 fetch_threads: threads,
-                fetch_mode: mode,
                 query_budget_ms: budget,
                 hedge_after_ms: 10,
                 ..Default::default()
@@ -497,16 +485,7 @@ proptest! {
             let trace = run_section5(&mut m, &schema, &q, true).unwrap();
             (trace, m.breaker_state("SENSELAB"), m.report().clone())
         };
-        let baseline = run(1, FetchMode::ScopedThreads);
-        for (threads, mode) in [
-            (8, FetchMode::ScopedThreads),
-            (1, FetchMode::Overlapped),
-            (8, FetchMode::Overlapped),
-        ] {
-            let got = run(threads, mode);
-            prop_assert_eq!(&got, &baseline,
-                "observables diverge: threads={} mode={:?}", threads, mode);
-        }
+        prop_assert_eq!(&run(8), &run(1), "observables diverge at 8 threads");
     }
 }
 

@@ -27,15 +27,15 @@ use crate::hub::{PinnedSnapshot, SnapshotHub};
 use crate::knowledge::Knowledge;
 use crate::snapshot::QuerySnapshot;
 use crate::wrapper::{Anchor, ObjectRow, SourceQuery, Wrapper};
-use kind_datalog::{EvalOptions, EvalStats, Interner, Model, Term};
+use kind_datalog::{EvalOptions, EvalProfile, EvalStats, Interner, Model, Term};
 use kind_dm::{axiom, rules, DomainMap, ExecMode, Resolved, SemanticIndex, SourceId, DM_OPS_RULES};
 use kind_gcm::{GcmBase, GcmDecl};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Answer rows, the names of the sources contacted to produce them, the
-/// evaluation statistics, and whether the magic-sets rewrite fired.
-pub(crate) type RowsAndSources = (Vec<Vec<Term>>, Vec<String>, EvalStats, bool);
+/// Answer rows, the names of the sources contacted to produce them, and
+/// the evaluation statistics and profile.
+pub(crate) type RowsAndSources = (Vec<Vec<Term>>, Vec<String>, EvalStats, EvalProfile);
 
 /// The model-based mediator: a facade composing the [`Federation`] and
 /// [`Knowledge`] layers with the eval/cache pipeline (see module docs).
@@ -1045,7 +1045,7 @@ impl Mediator {
     /// The warm [`Mediator::answer`] path (see `query.rs`): evaluates a
     /// one-off view on a scratch clone of the base, seeded with the
     /// cached base-layer model so only query-relevant strata are
-    /// recomputed (`run_for_seeded`). Returns `None` when seeding would
+    /// recomputed (`run_for_query_seeded`). Returns `None` when seeding would
     /// be unsound — the head predicate already has facts in the base
     /// model — so the caller falls back to the cold path.
     pub(crate) fn answer_via_base_cache(
@@ -1090,6 +1090,7 @@ impl Mediator {
         base_model: &Model,
     ) -> Result<RowsAndSources> {
         let mut work = self.base.clone();
+        let new_rules_from = work.flogic().engine().rules().len();
         work.flogic_mut().load(rule_text)?;
         // Fetch phase: scan every source exporting a mentioned class,
         // concurrently, then apply batches in the deterministic request
@@ -1125,12 +1126,13 @@ impl Mediator {
         // Goal-directed evaluation: seeded from the cached base model,
         // with the magic-sets rewrite specializing the delta to the
         // goal's bindings when `EvalOptions::magic_sets` is on.
-        let model =
-            work.flogic_mut()
-                .run_for_query_seeded(&goal, base_model, &self.eval_options)?;
+        let model = work.flogic_mut().run_for_query_seeded(
+            &goal,
+            base_model,
+            new_rules_from,
+            &self.eval_options,
+        )?;
         let rows = model.query(&goal);
-        let stats = model.stats;
-        let magic_fired = model.profile.magic_fired;
         // Answer terms may reference symbols interned only in the scratch
         // clone (object ids fetched this query); re-intern them into the
         // mediator's own engine so `show` resolves them.
@@ -1148,7 +1150,12 @@ impl Mediator {
                     .collect()
             })
             .collect();
-        Ok((rows, contacted.into_iter().collect(), stats, magic_fired))
+        Ok((
+            rows,
+            contacted.into_iter().collect(),
+            model.stats,
+            model.profile,
+        ))
     }
 }
 
@@ -1556,14 +1563,17 @@ mod tests {
             .unwrap();
         m.materialize_all().unwrap();
         m.publish().unwrap();
-        let ptr = Arc::as_ptr(m.cached_model().unwrap());
+        // Hold the model itself, not just its address: once the cache
+        // drops it, the allocator may hand the same address to the next
+        // model.
+        let held = Arc::clone(m.cached_model().unwrap());
         m.publish().unwrap();
-        assert_eq!(Arc::as_ptr(m.cached_model().unwrap()), ptr);
+        assert!(Arc::ptr_eq(m.cached_model().unwrap(), &held));
         // `invalidate` is the escape hatch: the next publish recomputes.
         m.invalidate();
         assert!(m.publish_pending());
         m.publish().unwrap();
-        assert_ne!(Arc::as_ptr(m.cached_model().unwrap()), ptr);
+        assert!(!Arc::ptr_eq(m.cached_model().unwrap(), &held));
     }
 
     #[test]

@@ -48,6 +48,11 @@ pub struct AnswerSet {
     /// rule subprogram (false when disabled or when the rewrite declined,
     /// e.g. for well-founded residues).
     pub magic_fired: bool,
+    /// Whether the answer was evaluated seeded from the cached base model
+    /// (the warm path) rather than cold.
+    pub seeded: bool,
+    /// Strata seeded from the cached base model and skipped outright.
+    pub skipped_strata: usize,
 }
 
 impl Mediator {
@@ -86,9 +91,9 @@ impl Mediator {
         // model and evaluate only this query's delta — the temporary view
         // plus freshly fetched rows — on a scratch clone of the base.
         // Strata untouched by the delta are seeded from the cache instead
-        // of recomputed (see `kind_datalog::Engine::run_for_seeded`).
+        // of recomputed (see `kind_datalog::Engine::run_for_query_seeded`).
         if self.eval_options().base_cache {
-            if let Some((rows, sources, stats, magic_fired)) =
+            if let Some((rows, sources, stats, profile)) =
                 self.answer_via_base_cache(rule_text, &head_pred, &head.args, &exported, &scratch)?
             {
                 return Ok(AnswerSet {
@@ -97,7 +102,9 @@ impl Mediator {
                     sources,
                     report: self.report().clone(),
                     stats,
-                    magic_fired,
+                    magic_fired: profile.magic_fired,
+                    seeded: profile.seed_declined.is_none(),
+                    skipped_strata: profile.skipped_strata(),
                 });
             }
         }
@@ -161,6 +168,8 @@ impl Mediator {
             report: self.report().clone(),
             stats: model.stats,
             magic_fired: model.profile.magic_fired,
+            seeded: false,
+            skipped_strata: 0,
         })
     }
 }
@@ -295,6 +304,32 @@ mod tests {
         assert_eq!(w1.rows.len(), 2);
         assert_eq!(w1.sources, c.sources);
         assert_eq!(w1.classes, c.classes);
+    }
+
+    /// Rows new to the cached model grow `inst`, and the domain-map
+    /// rules negate through `inst`: the warm path must re-run that
+    /// negation cycle (locally, still seeded) and agree with the cold
+    /// path. Once the rows are materialized the same answer skips the
+    /// cycle as well and derives less.
+    #[test]
+    fn answer_over_novel_rows_reruns_the_negation_cycle_seeded() {
+        let q = "long_spines(X, L) :- X : spines, X[len -> L], L >= 20.";
+        let mut novel = mediator_with_two_sources();
+        let mut cold = mediator_with_two_sources();
+        let mut o = cold.eval_options().clone();
+        o.base_cache = false;
+        cold.set_eval_options(o);
+        let mut known = mediator_with_two_sources();
+        known.materialize_all().unwrap();
+        let n = novel.answer(q).unwrap();
+        let c = cold.answer(q).unwrap();
+        let k = known.answer(q).unwrap();
+        assert_eq!(rendered(&novel, &n.rows), rendered(&cold, &c.rows));
+        assert_eq!(rendered(&known, &k.rows), rendered(&cold, &c.rows));
+        assert_eq!(n.rows.len(), 2);
+        assert!(n.seeded && k.seeded && !c.seeded);
+        assert!(k.skipped_strata > n.skipped_strata, "{n:?} vs {k:?}");
+        assert!(k.stats.derived < n.stats.derived, "{n:?} vs {k:?}");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use crate::error::{MediatorError, Result};
 use crate::knowledge::DomainView;
 use crate::plan::{DistributionFetch, NeuroSchema, PlanTrace, Section5Fetch};
-use kind_datalog::{EvalOptions, EvalStats, Model, Term};
+use kind_datalog::{EvalOptions, EvalStats, Model, SeedDecline, Term};
 use kind_dm::{DomainMap, Resolved, SemanticIndex};
 use kind_flogic::{parse_fl_program, Molecule};
 use kind_gcm::GcmBase;
@@ -48,6 +48,12 @@ pub struct SnapshotAnswer {
     pub magic_fired: bool,
     /// Whether the cost model declined an otherwise applicable rewrite.
     pub magic_declined: bool,
+    /// Whether the answer was evaluated seeded from the snapshot's model
+    /// (the warm path); the evaluation profile's
+    /// [`kind_datalog::EvalProfile::seed_declined`] says why not.
+    pub seeded: bool,
+    /// Strata seeded from the snapshot's model and skipped outright.
+    pub skipped_strata: usize,
 }
 
 /// A frozen, `Send + Sync` view of an evaluated mediator: shared base +
@@ -226,6 +232,7 @@ impl QuerySnapshot {
         // Per-call scratch clone of the frozen base: loading the rule
         // interns new symbols *there*, never in the shared snapshot.
         let mut work = (*self.base).clone();
+        let new_rules_from = work.flogic().engine().rules().len();
         work.flogic_mut().load(rule_text)?;
         // Seeding from the cached model is unsound if the head predicate
         // already has base facts (the seed would double as input); fall
@@ -252,12 +259,15 @@ impl QuerySnapshot {
             goal_args,
         );
         let model = if collides {
-            work.flogic_mut()
+            let mut model = work
+                .flogic_mut()
                 .run_for_query(&goal, opts)
-                .map_err(MediatorError::from)?
+                .map_err(MediatorError::from)?;
+            model.profile.seed_declined = Some(SeedDecline::HeadCollision);
+            model
         } else {
             work.flogic_mut()
-                .run_for_query_seeded(&goal, &self.model, opts)
+                .run_for_query_seeded(&goal, &self.model, new_rules_from, opts)
                 .map_err(MediatorError::from)?
         };
         let mut rows: Vec<Vec<String>> = model
@@ -275,6 +285,8 @@ impl QuerySnapshot {
             stats: model.stats,
             magic_fired: model.profile.magic_fired,
             magic_declined: model.profile.magic_declined,
+            seeded: model.profile.seed_declined.is_none(),
+            skipped_strata: model.profile.skipped_strata(),
         })
     }
 }
@@ -350,6 +362,27 @@ mod tests {
         // state it captured.
         assert_eq!(s1.query_fl("X : spines").unwrap().len(), 3);
         assert_eq!(s2.query_fl("X : spines").unwrap().len(), 4);
+    }
+
+    /// Evaluation counters are a function of the rule and the state, not
+    /// of history: the first answer on a snapshot builds join indexes on
+    /// relations it shares with the snapshot's model, yet a second answer
+    /// on the same snapshot, and one on a fresh snapshot of the same
+    /// state, report identical [`kind_datalog::EvalStats`].
+    #[test]
+    fn answer_stats_do_not_depend_on_earlier_answers() {
+        let q = "long(X, L) :- X : spines, X[len -> L], L >= 1.";
+        let s1 = mediator().snapshot().unwrap();
+        let first = s1.answer_with(q, s1.eval_options()).unwrap();
+        let second = s1.answer_with(q, s1.eval_options()).unwrap();
+        let s2 = mediator().snapshot().unwrap();
+        let fresh = s2.answer_with(q, s2.eval_options()).unwrap();
+        assert_eq!(first.rows.len(), 2);
+        assert!(first.seeded);
+        assert!(first.stats.index_builds > 0, "{:?}", first.stats);
+        assert_eq!(first.stats, second.stats);
+        assert_eq!(first.stats, fresh.stats);
+        assert_eq!(first.rows, fresh.rows);
     }
 
     /// Registration rebuilds the semantic index (new anchors) but reuses

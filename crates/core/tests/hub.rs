@@ -7,7 +7,7 @@ use kind_core::{Anchor, Capability, Mediator, MemoryWrapper, ObjectRow, Snapshot
 use kind_dm::{figures, ExecMode};
 use kind_gcm::GcmValue;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Barrier, Weak};
 use std::thread;
 
 fn spine_wrapper(name: &str, n: usize) -> Arc<MemoryWrapper> {
@@ -41,7 +41,9 @@ fn row(id: &str) -> ObjectRow {
 /// every loaded snapshot must be internally consistent — the row count
 /// it serves equals the row count its epoch was published with — and
 /// epochs observed per reader are monotone (no stale-after-load: once a
-/// reader saw epoch N, it never loads < N).
+/// reader saw epoch N, it never loads < N). Every reader loads once
+/// before the writer starts, so a loaded machine cannot let the writer
+/// finish before some reader ever runs.
 #[test]
 fn concurrent_readers_never_observe_torn_or_stale_snapshots() {
     let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
@@ -51,15 +53,17 @@ fn concurrent_readers_never_observe_torn_or_stale_snapshots() {
     m.publish_snapshot().unwrap();
 
     const PUBLISHES: usize = 12;
+    const READERS: usize = 4;
     let done = AtomicBool::new(false);
+    let start = Barrier::new(READERS + 1);
     thread::scope(|s| {
-        let readers: Vec<_> = (0..4)
+        let readers: Vec<_> = (0..READERS)
             .map(|_| {
-                let (hub, done) = (&hub, &done);
+                let (hub, done, start) = (&hub, &done, &start);
                 s.spawn(move || {
                     let mut last_epoch = 0;
                     let mut loads = 0_usize;
-                    while !done.load(Ordering::Relaxed) {
+                    let mut load_and_check = || {
                         let pinned = hub.load().expect("seeded before spawn");
                         let epoch = pinned.epoch();
                         assert!(
@@ -76,11 +80,17 @@ fn concurrent_readers_never_observe_torn_or_stale_snapshots() {
                             "epoch {epoch} serving a foreign row count"
                         );
                         loads += 1;
+                    };
+                    load_and_check();
+                    start.wait();
+                    while !done.load(Ordering::Relaxed) {
+                        load_and_check();
                     }
                     loads
                 })
             })
             .collect();
+        start.wait();
         for i in 0..PUBLISHES {
             m.load_row("A", "spines", &row(&format!("w{i}"))).unwrap();
             m.publish().unwrap();
@@ -159,7 +169,8 @@ fn old_epochs_live_until_their_last_reader_drops() {
 
 /// The hub used the way the server uses it: worker threads pinning per
 /// "request" while another thread publishes — all served answers must
-/// match the row count of the epoch they report.
+/// match the row count of the epoch they report. As above, every worker
+/// serves once before the writer starts.
 #[test]
 fn server_shaped_usage_pins_each_request_to_one_epoch() {
     let mut m = Mediator::new(figures::figure1(), ExecMode::Assertion);
@@ -168,25 +179,33 @@ fn server_shaped_usage_pins_each_request_to_one_epoch() {
     let hub = m.hub();
     m.publish_snapshot().unwrap();
 
+    const WORKERS: usize = 3;
     let done = AtomicBool::new(false);
+    let start = Barrier::new(WORKERS + 1);
     thread::scope(|s| {
-        let workers: Vec<_> = (0..3)
+        let workers: Vec<_> = (0..WORKERS)
             .map(|_| {
-                let (hub, done) = (&hub, &done);
+                let (hub, done, start) = (&hub, &done, &start);
                 s.spawn(move || {
                     let mut served = 0_usize;
-                    while !done.load(Ordering::Relaxed) {
+                    let mut serve = || {
                         // One "request": pin, evaluate, respond.
                         let pinned = hub.load().unwrap();
                         let epoch = pinned.epoch();
                         let rows = pinned.query_fl_rendered("X : spines").unwrap();
                         assert_eq!(rows.len() as u64, 5 + (epoch - 1));
                         served += 1;
+                    };
+                    serve();
+                    start.wait();
+                    while !done.load(Ordering::Relaxed) {
+                        serve();
                     }
                     served
                 })
             })
             .collect();
+        start.wait();
         for i in 0..8 {
             m.load_row("A", "spines", &row(&format!("srv{i}"))).unwrap();
             m.publish().unwrap();

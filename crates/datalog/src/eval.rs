@@ -19,8 +19,10 @@
 //!   set ([`crate::fact::Relation::iter_bound`]); build/hit/miss counts
 //!   land in [`EvalStats`];
 //! * **cross-query caching** ([`EvalOptions::base_cache`], driven by
-//!   [`crate::Engine::run_for_seeded`]): strata whose predicates are
-//!   already at fixpoint in a seeded base model are skipped outright.
+//!   [`crate::Engine::run_for_query_seeded`]): strata whose predicates are
+//!   already at fixpoint in a seeded base model are skipped outright, and
+//!   a touched stratum whose cycle goes through negation runs the
+//!   alternating fixpoint over its own rules only.
 //!
 //! Function terms (skolem placeholders from domain-map assertions, paper
 //! §4) can generate unboundedly deep terms; derivations whose head exceeds
@@ -34,7 +36,7 @@ use crate::interner::Sym;
 use crate::program::Stratification;
 use crate::rule::Rule;
 use crate::term::{Subst, Term};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -112,9 +114,9 @@ pub struct EvalOptions {
     /// the compiled source order (ablation baseline).
     pub join_reorder: bool,
     /// Allow evaluation on top of a cached base model
-    /// ([`crate::Engine::run_for_seeded`]): strata untouched by the delta
-    /// are seeded from the cache and skipped. Turning this off re-derives
-    /// everything from the EDB (ablation baseline).
+    /// ([`crate::Engine::run_for_query_seeded`]): strata untouched by the
+    /// delta are seeded from the cache and skipped. Turning this off
+    /// re-derives everything from the EDB (ablation baseline).
     pub base_cache: bool,
     /// Apply the magic-sets demand rewrite on the goal-directed query
     /// paths ([`crate::Engine::run_for_query`] and
@@ -184,24 +186,54 @@ pub struct EvalStats {
     pub index_misses: usize,
 }
 
-/// Index probe counters, threaded through matching by shared reference
-/// (matching only ever holds `&self`).
+impl EvalStats {
+    /// Adds a sub-evaluation's counters (e.g. a stratum-local
+    /// well-founded run) into these totals.
+    pub(crate) fn add(&mut self, sub: &EvalStats) {
+        self.iterations += sub.iterations;
+        self.derived += sub.derived;
+        self.depth_clipped += sub.depth_clipped;
+        self.applications += sub.applications;
+        self.index_builds += sub.index_builds;
+        self.index_hits += sub.index_hits;
+        self.index_misses += sub.index_misses;
+    }
+}
+
+/// Index probe counters for one working store, threaded through matching
+/// by shared reference (matching only ever holds `&self`).
+///
+/// A working store shares the relations it does not write with the model
+/// it was seeded from, and those may already carry indexes some earlier
+/// run built. So a build is counted the first time this scope asks for a
+/// `(pred, cols)` index of its working store, whether or not the index
+/// already exists physically: the counters depend only on the program
+/// and the facts, never on run history. Probes of a per-round delta
+/// store (always fresh) count physical builds.
 #[derive(Debug, Default)]
 pub(crate) struct IndexCounters {
     builds: Cell<usize>,
     hits: Cell<usize>,
     misses: Cell<usize>,
+    asked: RefCell<HashSet<(Sym, Vec<usize>)>>,
 }
 
 impl IndexCounters {
     fn build(&self) {
         self.builds.set(self.builds.get() + 1);
     }
+    /// Records an ask for `pred`'s `cols` index; `true` on the first.
+    fn first_ask(&self, pred: Sym, cols: Vec<usize>) -> bool {
+        self.asked.borrow_mut().insert((pred, cols))
+    }
     fn hit(&self) {
         self.hits.set(self.hits.get() + 1);
     }
     fn miss(&self) {
         self.misses.set(self.misses.get() + 1);
+    }
+    fn totals(&self) -> (usize, usize, usize) {
+        (self.builds.get(), self.hits.get(), self.misses.get())
     }
     pub(crate) fn fold_into(&self, stats: &mut EvalStats) {
         stats.index_builds += self.builds.get();
@@ -252,17 +284,39 @@ pub struct StratumProfile {
     pub plans: Vec<RulePlan>,
 }
 
+/// Why [`crate::Engine::run_for_query_seeded`] (or a caller deciding for
+/// it) evaluated cold instead of seeding from the cached base model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeedDecline {
+    /// [`EvalOptions::base_cache`] is off.
+    CacheOff,
+    /// The base model has undefined atoms: a three-valued base gives the
+    /// closed-world seeding nothing sound to stand on.
+    ThreeValuedBase,
+    /// A touched stratum's local alternating fixpoint left atoms
+    /// undefined, which the strata above it cannot take as input.
+    UndefinedResidue,
+    /// The query's head predicate already has facts in the base model,
+    /// so the seed would double as input (decided by the caller).
+    HeadCollision,
+}
+
 /// A record of how a model was computed: per-stratum join plans and
 /// counters, inspectable via [`crate::Engine::render_profile`].
 #[derive(Debug, Clone, Default)]
 pub struct EvalProfile {
     /// Strata in evaluation order.
     pub strata: Vec<StratumProfile>,
-    /// Evaluation went through the alternating fixpoint (well-founded
-    /// semantics); strata then hold a single summary entry.
+    /// Evaluation ran the alternating fixpoint (well-founded semantics):
+    /// over the whole program, when strata hold a single summary entry,
+    /// or over the touched negation-cycle strata of a seeded or
+    /// incremental run.
     pub well_founded: bool,
     /// Facts seeded from a cached base model before evaluation.
     pub seeded: usize,
+    /// Why a seeded query evaluation fell back to a cold one; `None` when
+    /// it seeded, or when no seeding was asked for.
+    pub seed_declined: Option<SeedDecline>,
     /// Whether the magic-sets demand rewrite produced the evaluated
     /// program (goal-directed query paths only; see
     /// [`EvalOptions::magic_sets`]).
@@ -297,6 +351,14 @@ pub struct EvalProfile {
     /// [`crate::Engine::apply_delta`] fell back to a full cold evaluation
     /// (well-founded program or three-valued base model).
     pub delta_fallback: bool,
+}
+
+impl EvalProfile {
+    /// Strata skipped outright: seeded from a cached base model, or
+    /// reused wholesale by incremental maintenance.
+    pub fn skipped_strata(&self) -> usize {
+        self.strata.iter().filter(|s| s.skipped).count()
+    }
 }
 
 /// The result of evaluating a program: a (possibly three-valued) model.
@@ -458,7 +520,13 @@ pub(crate) fn solve(
                 if !bound.is_empty() {
                     let mut cols: Vec<usize> = bound.iter().map(|&(c, _)| c).collect();
                     cols.sort_unstable();
-                    if rel.ensure_index(&cols) {
+                    let built = rel.ensure_index(&cols);
+                    let counted = if use_delta {
+                        built
+                    } else {
+                        ctx.counters.first_ask(atom.pred, cols)
+                    };
+                    if counted {
                         ctx.counters.build();
                     }
                     ctx.counters.hit();
@@ -738,26 +806,34 @@ pub(crate) fn eval_stratified(
     edb: &FactStore,
     opts: &EvalOptions,
 ) -> Result<Model> {
-    eval_stratified_skipping(rules, strat, edb, opts, None)
+    Ok(eval_stratified_skipping(rules, strat, edb, opts, None)?
+        .expect("a stratified program leaves nothing undefined"))
 }
 
 /// Like [`eval_stratified`], but skips any stratum whose predicates are
 /// all in `stable` (they are already at fixpoint in `edb`, having been
 /// seeded from a cached base model — see
-/// [`crate::Engine::run_for_seeded`]).
+/// [`crate::Engine::run_for_query_seeded`]), and evaluates a stratum
+/// whose cycle goes through negation by the alternating fixpoint over its
+/// own rules, on top of the strata below it. The well-founded model
+/// restricted to one SCC equals that SCC's well-founded model relative to
+/// the two-valued strata beneath, so this is exact while every local
+/// fixpoint stays two-valued; `Ok(None)` when one leaves atoms undefined.
+///
+/// `edb` is cloned shallowly: relations no evaluated stratum writes stay
+/// shared with it (and with whatever model they were seeded from); the
+/// rest are copied on first write.
 pub(crate) fn eval_stratified_skipping(
     rules: &[Rule],
     strat: &Stratification,
     edb: &FactStore,
     opts: &EvalOptions,
     stable: Option<&HashSet<Sym>>,
-) -> Result<Model> {
-    // Detached: evaluation must not observe (or warm) index state shared
-    // with a previous model's relations, or the index counters — part of
-    // the bit-identical stats contract — would depend on run history.
-    let mut total = edb.detached_clone();
+) -> Result<Option<Model>> {
+    let mut total = edb.clone();
     let mut stats = EvalStats::default();
     let mut profile = EvalProfile::default();
+    let counters = IndexCounters::default();
     for stratum in &strat.strata {
         let mut sp = StratumProfile {
             preds: stratum.preds.clone(),
@@ -771,6 +847,25 @@ pub(crate) fn eval_stratified_skipping(
                 continue;
             }
         }
+        if stratum.wfs {
+            let local: Vec<Rule> = stratum.rules.iter().map(|&ri| rules[ri].clone()).collect();
+            let planned = crate::wfs::plan_wfs(&local, &total, opts);
+            let sub = crate::wfs::eval_well_founded_planned(&planned, &total, opts)?;
+            if !sub.undefined.is_empty() {
+                return Ok(None);
+            }
+            total = sub.facts;
+            stats.add(&sub.stats);
+            profile.well_founded = true;
+            if let Some(summary) = sub.profile.strata.into_iter().next() {
+                sp = StratumProfile {
+                    preds: sp.preds,
+                    ..summary
+                };
+            }
+            profile.strata.push(sp);
+            continue;
+        }
         let stratum_preds: HashSet<Sym> = stratum.preds.iter().copied().collect();
         let prepared: Vec<(Rule, RulePlan)> = stratum
             .rules
@@ -779,8 +874,8 @@ pub(crate) fn eval_stratified_skipping(
             .collect();
         let stratum_rules: Vec<&Rule> = prepared.iter().map(|(r, _)| r).collect();
         sp.plans = prepared.iter().map(|(_, p)| p.clone()).collect();
-        let counters = IndexCounters::default();
         let before = stats;
+        let (builds, hits, misses) = counters.totals();
         eval_stratum(
             &stratum_rules,
             stratum.recursive,
@@ -792,18 +887,19 @@ pub(crate) fn eval_stratified_skipping(
         )?;
         sp.iterations = stats.iterations - before.iterations;
         sp.derived = stats.derived - before.derived;
-        sp.index_builds = counters.builds.get();
-        sp.index_hits = counters.hits.get();
-        sp.index_misses = counters.misses.get();
-        counters.fold_into(&mut stats);
+        let (b, h, m) = counters.totals();
+        sp.index_builds = b - builds;
+        sp.index_hits = h - hits;
+        sp.index_misses = m - misses;
         profile.strata.push(sp);
     }
-    Ok(Model {
+    counters.fold_into(&mut stats);
+    Ok(Some(Model {
         facts: total,
         undefined: FactStore::new(),
         stats,
         profile,
-    })
+    }))
 }
 
 /// Evaluates one stratum to fixpoint on top of `total`, which already
@@ -922,18 +1018,18 @@ fn seminaive_stratum(
 
 /// Computes the least model of the *positive reduct* of `rules` wrt the
 /// frozen interpretation `j`: `not p(t)` holds iff `p(t) ∉ j`. Used by the
-/// alternating fixpoint (well-founded semantics).
+/// alternating fixpoint (well-founded semantics). Each call starts a
+/// fresh working store (a shallow clone of `edb`), so it keeps its own
+/// index counters and folds them into `stats`.
 pub(crate) fn gamma(
     rules: &[Rule],
     edb: &FactStore,
     j: &FactStore,
     stats: &mut EvalStats,
-    counters: &IndexCounters,
     opts: &EvalOptions,
 ) -> Result<FactStore> {
-    // Detached for the same reason as `eval_stratified_skipping`: index
-    // counters must not depend on shared-relation index state.
-    let mut total = edb.detached_clone();
+    let counters = IndexCounters::default();
+    let mut total = edb.clone();
     // With negation frozen the program is positive: a single global
     // fixpoint loop is sound. Semi-naive deltas would need per-predicate
     // bookkeeping across the whole program; for clarity we run rounds of
@@ -945,9 +1041,10 @@ pub(crate) fn gamma(
         NegView::Frozen(j),
         &mut total,
         stats,
-        counters,
+        &counters,
         opts,
     )?;
+    counters.fold_into(stats);
     Ok(total)
 }
 

@@ -181,16 +181,18 @@ impl crate::Engine {
         }
     }
 
-    /// Renders a model's evaluation profile — per-stratum predicates,
-    /// iteration and index counters, and the compiled join order of every
-    /// rule — as a diagnostic dump. The join order lists compiled body
-    /// positions; a `*` marks rules the greedy planner actually reordered.
+    /// Renders a model's evaluation profile — the path taken (seeded
+    /// facts, skipped strata, why seeding was declined), per-stratum
+    /// predicates, iteration and index counters, and the compiled join
+    /// order of every rule — as a diagnostic dump. The join order lists
+    /// compiled body positions; a `*` marks rules the greedy planner
+    /// actually reordered.
     pub fn render_profile(&self, model: &Model) -> String {
         let prof = &model.profile;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "evaluation profile: {} strata{}{}{}",
+            "evaluation profile: {} strata{}{}{}{}{}",
             prof.strata.len(),
             if prof.well_founded {
                 " (well-founded)"
@@ -201,6 +203,14 @@ impl crate::Engine {
                 format!(", {} facts seeded from base cache", prof.seeded)
             } else {
                 String::new()
+            },
+            match prof.skipped_strata() {
+                0 => String::new(),
+                n => format!(", {n} strata skipped"),
+            },
+            match prof.seed_declined {
+                Some(why) => format!(", seeding declined: {why:?}"),
+                None => String::new(),
             },
             if prof.magic_fired {
                 format!(
@@ -414,6 +424,37 @@ mod tests {
         let full = e.run(&EvalOptions::default()).unwrap();
         let dump = e.render_profile(&full);
         assert!(!dump.contains("magic-sets rewrite fired"), "{dump}");
+    }
+
+    #[test]
+    fn profile_dump_shows_the_seeded_path() {
+        use crate::{Atom, Term as T, Var};
+        let mut e = Engine::new();
+        e.load(
+            "move(a,b). move(b,c).
+             win(X) :- move(X,Y), not win(Y).",
+        )
+        .unwrap();
+        let opts = EvalOptions::default();
+        let base = e.run(&opts).unwrap();
+        let new_rules_from = e.rules().len();
+        e.load("goal(X) :- win(X).").unwrap();
+        let goal = Atom::new(e.sym("goal"), vec![T::Var(Var(0))]);
+        let warm = e
+            .run_for_query_seeded(&goal, &base, new_rules_from, &opts)
+            .unwrap();
+        let dump = e.render_profile(&warm);
+        assert!(dump.contains("1 strata skipped"), "{dump}");
+        assert!(!dump.contains("seeding declined"), "{dump}");
+        let off = EvalOptions {
+            base_cache: false,
+            ..Default::default()
+        };
+        let cold = e
+            .run_for_query_seeded(&goal, &base, new_rules_from, &off)
+            .unwrap();
+        let dump = e.render_profile(&cold);
+        assert!(dump.contains("seeding declined: CacheOff"), "{dump}");
     }
 
     #[test]

@@ -43,12 +43,12 @@ pub struct Relation {
 
 impl Clone for Relation {
     /// Clones the tuples but **not** the built indexes: a clone rebuilds
-    /// lazily the (usually few) column sets it actually probes. Scratch
-    /// clones on the warm query path (per-call `answer` evaluation,
-    /// base-cache seeding) typically touch a handful of relations, so
-    /// deep-copying every index map was pure allocation overhead — and a
-    /// read-lock hold on the shared original that concurrent snapshot
-    /// readers had to contend with.
+    /// lazily the (usually few) column sets it actually probes. Clones on
+    /// the warm query path (copy-on-write of the few relations a per-call
+    /// `answer` evaluation writes) typically probe a handful of column
+    /// sets, so deep-copying every index map was pure allocation overhead
+    /// — and a read-lock hold on the shared original that concurrent
+    /// snapshot readers had to contend with.
     fn clone(&self) -> Self {
         Relation {
             tuples: self.tuples.clone(),
@@ -210,10 +210,10 @@ impl Relation {
 /// indexes its tuples have already earned — until one side mutates it
 /// (copy-on-write via [`Arc::make_mut`]). This is what makes snapshot
 /// republish cost proportional to the delta: strata untouched by a change
-/// keep the previous model's relations by reference. Evaluation entry
-/// points that must not observe shared index state (index-probe counters
-/// are part of the bit-identical stats contract) start from
-/// [`FactStore::detached_clone`] instead.
+/// keep the previous model's relations by reference. Evaluation works on
+/// such shallow clones too: only the relations a run writes are copied,
+/// and index-probe counters are kept per run (see `eval::IndexCounters`)
+/// so they never depend on index state a shared relation already holds.
 #[derive(Debug, Clone, Default)]
 pub struct FactStore {
     rels: HashMap<Sym, Arc<Relation>>,
@@ -225,9 +225,15 @@ impl FactStore {
         Self::default()
     }
 
-    /// Inserts a fact; returns `true` if new.
+    /// Inserts a fact; returns `true` if new. A relation shared with
+    /// another store is checked for the fact first, so re-inserting a
+    /// known fact never copies it.
     pub fn insert(&mut self, pred: Sym, tuple: Tuple) -> bool {
-        Arc::make_mut(self.rels.entry(pred).or_default()).insert(tuple)
+        let rel = self.rels.entry(pred).or_default();
+        if let Some(own) = Arc::get_mut(rel) {
+            return own.insert(tuple);
+        }
+        !rel.contains(&tuple) && Arc::make_mut(rel).insert(tuple)
     }
 
     /// Removes a fact; returns `true` if it was present.
@@ -262,21 +268,6 @@ impl FactStore {
         }
     }
 
-    /// A deep clone with per-relation index state dropped: every relation
-    /// is freshly allocated with no built indexes. Evaluation starts from
-    /// this so index-build/hit/miss counters depend only on the program
-    /// and facts, never on which earlier run happened to warm a shared
-    /// relation's indexes.
-    pub fn detached_clone(&self) -> FactStore {
-        FactStore {
-            rels: self
-                .rels
-                .iter()
-                .map(|(&p, r)| (p, Arc::new((**r).clone())))
-                .collect(),
-        }
-    }
-
     /// Membership test.
     pub fn contains(&self, pred: Sym, tuple: &[Term]) -> bool {
         self.rels.get(&pred).is_some_and(|r| r.contains(tuple))
@@ -306,60 +297,26 @@ impl FactStore {
 
     /// Merges every fact of `other` into `self`, relation by relation
     /// (one predicate lookup per relation, with capacity reserved up
-    /// front); returns how many facts were new.
+    /// front); returns how many facts were new. A vacant slot gets a deep
+    /// copy, not a shared handle: `other` is typically a round's output
+    /// that the next semi-naive round keeps probing as its delta.
     pub fn absorb(&mut self, other: &FactStore) -> usize {
         let mut added = 0;
         for (&p, rel) in &other.rels {
             if rel.is_empty() {
                 continue;
             }
-            added += self.absorb_rel(p, rel);
-        }
-        added
-    }
-
-    /// Merges only `pred`'s relation from `other`; returns how many facts
-    /// were new.
-    pub fn absorb_pred(&mut self, pred: Sym, other: &FactStore) -> usize {
-        match other.rels.get(&pred) {
-            Some(rel) if !rel.is_empty() => self.absorb_rel(pred, rel),
-            _ => 0,
-        }
-    }
-
-    /// Deep-merge of one relation. A vacant slot still deep-copies (not
-    /// `Arc`-shares) so absorbed relations start with no index state and
-    /// are never retroactively mutated out from under a concurrent holder
-    /// mid-fixpoint; explicit sharing goes through [`Self::share_pred`] /
-    /// [`Self::set_relation`].
-    fn absorb_rel(&mut self, pred: Sym, rel: &Arc<Relation>) -> usize {
-        match self.rels.entry(pred) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Arc::new((**rel).clone()));
-                rel.len()
-            }
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                Arc::make_mut(o.get_mut()).extend_from(rel)
-            }
-        }
-    }
-
-    /// Like [`Self::absorb_pred`], but a vacant slot **shares** `other`'s
-    /// relation handle instead of copying it; an occupied slot falls back
-    /// to a deep merge. Returns how many facts were new.
-    pub fn share_pred(&mut self, pred: Sym, other: &FactStore) -> usize {
-        match other.rels.get(&pred) {
-            Some(rel) if !rel.is_empty() => match self.rels.entry(pred) {
+            added += match self.rels.entry(p) {
                 std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(Arc::clone(rel));
+                    v.insert(Arc::new((**rel).clone()));
                     rel.len()
                 }
                 std::collections::hash_map::Entry::Occupied(mut o) => {
                     Arc::make_mut(o.get_mut()).extend_from(rel)
                 }
-            },
-            _ => 0,
+            };
         }
+        added
     }
 }
 
@@ -486,6 +443,24 @@ mod tests {
         s2.insert(p, t(&[b.clone(), b.clone()]));
         assert_eq!(s1.absorb(&s2), 2);
         assert_eq!(s1.relation(p).unwrap().iter_first(&a).count(), 2);
+    }
+
+    #[test]
+    fn inserting_a_known_tuple_keeps_the_relation_shared() {
+        let mut syms = Interner::new();
+        let p = syms.intern("p");
+        let a = Term::Const(syms.intern("a"));
+        let b = Term::Const(syms.intern("b"));
+        let mut base = FactStore::new();
+        base.insert(p, t(std::slice::from_ref(&a)));
+        let mut work = base.clone();
+        assert!(work.shares_relation(p, &base));
+        assert!(!work.insert(p, t(std::slice::from_ref(&a))));
+        assert!(work.shares_relation(p, &base));
+        // A genuinely new tuple copies on write; the original is untouched.
+        assert!(work.insert(p, t(std::slice::from_ref(&b))));
+        assert!(!work.shares_relation(p, &base));
+        assert_eq!(base.len(), 1);
     }
 
     #[test]

@@ -181,18 +181,6 @@ fn cold_fallback(engine: &Engine, rules: &[Rule], opts: &EvalOptions) -> Result<
     Ok(model)
 }
 
-/// Folds a sub-evaluation's counters (a stratum-local well-founded run)
-/// into the delta run's totals.
-fn merge_stats(into: &mut EvalStats, sub: &EvalStats) {
-    into.iterations += sub.iterations;
-    into.derived += sub.derived;
-    into.depth_clipped += sub.depth_clipped;
-    into.applications += sub.applications;
-    into.index_builds += sub.index_builds;
-    into.index_hits += sub.index_hits;
-    into.index_misses += sub.index_misses;
-}
-
 /// Applies `delta` to `base` (a full model of the engine's *pre-delta*
 /// state), producing the model the current engine state evaluates to —
 /// see [`Engine::apply_delta`] for the contract.
@@ -384,7 +372,7 @@ pub(crate) fn apply_delta(
                             total.set_relation(p, arc);
                         }
                     }
-                    merge_stats(&mut stats, &sub.stats);
+                    stats.add(&sub.stats);
                     profile.well_founded = true;
                     // Surface the inner run's plans in this stratum's
                     // profile slot.

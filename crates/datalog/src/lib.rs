@@ -56,7 +56,9 @@ mod wfs;
 
 pub use atom::{AggFunc, Aggregate, Atom, BodyItem, CmpOp, Expr};
 pub use error::{DatalogError, Result};
-pub use eval::{CancelToken, EvalOptions, EvalProfile, EvalStats, Model, RulePlan, StratumProfile};
+pub use eval::{
+    CancelToken, EvalOptions, EvalProfile, EvalStats, Model, RulePlan, SeedDecline, StratumProfile,
+};
 pub use explain::{Derivation, DerivationStep};
 pub use fact::{FactStore, Relation, Tuple};
 pub use interner::{Interner, Sym};
@@ -394,30 +396,73 @@ impl Engine {
     }
 
     /// Like [`Engine::run_for_query`], but evaluated on top of a cached
-    /// `base` model (see [`Engine::run_for_seeded`] for the seeding
-    /// contract). The seeding analysis runs first; its *stable*
-    /// predicates are handed to the magic rewrite as frozen — their
-    /// rules are dropped outright and their absorbed base facts stand in
-    /// for their extension — so the rewrite composes with the
-    /// cross-query cache instead of re-deriving what the cache already
-    /// holds.
+    /// `base` model (the cross-query cache layer): predicates whose
+    /// inputs did not change since `base` was computed are *seeded* from
+    /// it — their relations shared, not copied — and their strata skipped
+    /// outright; only query-relevant strata that can differ are
+    /// re-evaluated. A touched stratum whose cycle goes through negation
+    /// re-runs the alternating fixpoint over its own rules only, on top of
+    /// the strata below it.
+    ///
+    /// The seeding analysis runs first; its *stable* predicates are
+    /// handed to the magic rewrite as frozen — their rules are dropped
+    /// outright and their seeded base facts stand in for their extension
+    /// — so the rewrite composes with the cross-query cache instead of
+    /// re-deriving what the cache already holds. The rewrite is skipped
+    /// while a touched negation-cycle stratum remains (its residue would
+    /// need the well-founded evaluator anyway).
+    ///
+    /// # Contract
+    /// `base` must be the full model of this engine's first
+    /// `new_rules_from` rules over a **subset** of this engine's EDB:
+    /// facts may have been added since, never removed, and every rule
+    /// added since sits at index `new_rules_from` or later. Under that
+    /// contract the answers for `goal` equal [`Engine::run_for_query`]'s.
+    ///
+    /// Soundness of the predicate analysis: starting from predicates whose
+    /// EDB grew or that head a new rule, a *positive* edge from a grown
+    /// predicate can only add facts to its head (grown, monotone); any
+    /// edge from an unstable predicate, or a negation/aggregate edge from
+    /// a grown one, makes the head *unstable* (facts may appear or
+    /// vanish). Stable predicates keep their base extension exactly, so
+    /// seeding them is exact and their strata need no evaluation.
+    ///
+    /// Evaluates cold instead, recording why in
+    /// [`EvalProfile::seed_declined`], when `base_cache` is off, the base
+    /// model has undefined atoms, or a local alternating fixpoint leaves
+    /// atoms undefined.
     pub fn run_for_query_seeded(
         &mut self,
         goal: &Atom,
         base: &Model,
+        new_rules_from: usize,
         opts: &EvalOptions,
     ) -> Result<Model> {
+        let declined = |mut model: Model, why| {
+            model.profile.seed_declined = Some(why);
+            model
+        };
         if !opts.base_cache {
-            return self.run_for_query(goal, opts);
+            return Ok(declined(
+                self.run_for_query(goal, opts)?,
+                SeedDecline::CacheOff,
+            ));
         }
         let relevant = self.relevant_rules(&[goal.pred]);
-        let strat = program::stratify(&relevant, |s| self.syms.resolve(s).to_string())?;
-        if strat.needs_wfs || !base.undefined.is_empty() {
-            return self.run_rules(&relevant, opts);
+        if !base.undefined.is_empty() {
+            return Ok(declined(
+                self.run_rules(&relevant, opts)?,
+                SeedDecline::ThreeValuedBase,
+            ));
         }
-        let plan = self.seed_plan(&relevant, &[goal.pred], base);
-        let mut declined = None;
-        if opts.magic_sets {
+        let strat = program::stratify(&relevant, |s| self.syms.resolve(s).to_string())?;
+        let plan = self.seed_plan(&relevant, &[goal.pred], base, new_rules_from);
+        let touched_wfs = strat
+            .strata
+            .iter()
+            .any(|s| s.wfs && !s.preds.iter().all(|p| plan.stable.contains(p)));
+        let mut magic_declined = None;
+        if opts.magic_sets && !touched_wfs {
             if let Some(rw) = magic::rewrite(
                 &relevant,
                 &plan.edb,
@@ -426,7 +471,7 @@ impl Engine {
                 &mut self.syms,
             ) {
                 if rw.demand_ratio.is_some_and(|r| r >= magic::DECLINE_RATIO) {
-                    declined = rw.demand_ratio;
+                    magic_declined = rw.demand_ratio;
                 } else if let Some(mut model) =
                     self.eval_rewritten(&rw, plan.edb.clone(), opts, plan.seeded)?
                 {
@@ -435,12 +480,18 @@ impl Engine {
                 }
             }
         }
-        let mut model =
-            eval::eval_stratified_skipping(&relevant, &strat, &plan.edb, opts, Some(&plan.stable))?;
+        let Some(mut model) =
+            eval::eval_stratified_skipping(&relevant, &strat, &plan.edb, opts, Some(&plan.stable))?
+        else {
+            return Ok(declined(
+                self.run_rules(&relevant, opts)?,
+                SeedDecline::UndefinedResidue,
+            ));
+        };
         model.profile.seeded = plan.seeded;
-        if declined.is_some() {
+        if magic_declined.is_some() {
             model.profile.magic_declined = true;
-            model.profile.magic_demand_ratio = declined;
+            model.profile.magic_demand_ratio = magic_declined;
         }
         Ok(model)
     }
@@ -487,83 +538,51 @@ impl Engine {
         Ok(Some(model))
     }
 
-    /// Like [`Engine::run_for`], but evaluates on top of a cached `base`
-    /// model (the cross-query cache layer): predicates whose inputs did
-    /// not change since `base` was computed are *seeded* from it and their
-    /// strata skipped outright; only query-relevant strata that can differ
-    /// are re-evaluated.
-    ///
-    /// # Contract
-    /// `base` must be a model of a subprogram of this engine's rules over
-    /// a **subset** of this engine's EDB (facts and rules may have been
-    /// added since, never removed or changed), and rules present here but
-    /// absent from the base program may only define predicates that have
-    /// no facts in `base`. Under that contract the result equals
-    /// [`Engine::run_for`] from scratch.
-    ///
-    /// Soundness of the predicate analysis: starting from predicates whose
-    /// EDB grew (or whose defining rules are new), a *positive* edge from
-    /// a grown predicate can only add facts to its head (grown, monotone);
-    /// any edge from an unstable predicate, or a negation/aggregate edge
-    /// from a grown one, makes the head *unstable* (facts may appear or
-    /// vanish). Stable predicates keep their base extension exactly, so
-    /// seeding them is exact and their strata need no evaluation.
-    ///
-    /// Falls back to a plain [`Engine::run_for`] when `base_cache` is off,
-    /// the relevant subprogram needs the well-founded evaluator, or the
-    /// base model has undefined atoms.
-    pub fn run_for_seeded(&self, goals: &[Sym], base: &Model, opts: &EvalOptions) -> Result<Model> {
-        if !opts.base_cache {
-            return self.run_for(goals, opts);
-        }
-        let relevant = self.relevant_rules(goals);
-        let strat = program::stratify(&relevant, |s| self.syms.resolve(s).to_string())?;
-        if strat.needs_wfs || !base.undefined.is_empty() {
-            return self.run_rules(&relevant, opts);
-        }
-        let plan = self.seed_plan(&relevant, goals, base);
-        let mut model =
-            eval::eval_stratified_skipping(&relevant, &strat, &plan.edb, opts, Some(&plan.stable))?;
-        model.profile.seeded = plan.seeded;
-        Ok(model)
-    }
-
-    /// The cross-query seeding analysis shared by
-    /// [`Engine::run_for_seeded`] and [`Engine::run_for_query_seeded`]:
-    /// classifies the relevant predicates against a cached base model and
-    /// returns the working EDB with every safely-absorbable base fact
-    /// already merged in.
+    /// The cross-query seeding analysis behind
+    /// [`Engine::run_for_query_seeded`]: classifies the relevant
+    /// predicates against a cached base model and returns the working EDB
+    /// with every safely-absorbable base relation already in place.
     ///
     /// Seed set Δ: predicates whose EDB holds facts absent from the base
-    /// model, plus heads with no base extension (covers new rules). The
+    /// model, plus the heads of rules at index `new_rules_from` or later
+    /// (the rules the base model never saw). An older rule that derived
+    /// nothing in `base` is *not* new: its empty extension is exact. The
     /// classification then propagates along dependency edges to a
     /// fixpoint: a *positive* edge from a grown predicate can only add
     /// facts to its head (grown, monotone); any edge from an unstable
     /// predicate, or a negation/aggregate edge from a grown one, makes
-    /// the head *unstable* (facts may appear or vanish). Base facts of
-    /// everything except unstable predicates are absorbed into the
-    /// returned EDB; *stable* predicates (neither grown nor unstable)
-    /// keep their base extension exactly, so their strata can be skipped
-    /// (or, on the magic path, their rules dropped).
-    fn seed_plan(&self, relevant: &[Rule], goals: &[Sym], base: &Model) -> SeedPlan {
+    /// the head *unstable* (facts may appear or vanish). Every predicate
+    /// except the unstable ones takes the base relation's shared handle,
+    /// plus (copied on write) whatever EDB facts of its own the base
+    /// lacks; *stable* predicates (neither grown nor unstable) keep their
+    /// base extension exactly, so their strata can be skipped (or, on the
+    /// magic path, their rules dropped).
+    fn seed_plan(
+        &self,
+        relevant: &[Rule],
+        goals: &[Sym],
+        base: &Model,
+        new_rules_from: usize,
+    ) -> SeedPlan {
         let mut grown: HashSet<Sym> = HashSet::new();
         let mut unstable: HashSet<Sym> = HashSet::new();
+        // EDB facts the base model lacks, per predicate.
+        let mut novel: HashMap<Sym, Vec<Tuple>> = HashMap::new();
         for p in self.edb.predicates() {
             let Some(rel) = self.edb.relation(p) else {
                 continue;
             };
-            let novel = match base.facts.relation(p) {
-                Some(b) => rel.iter().any(|t| !b.contains(t)),
-                None => !rel.is_empty(),
+            let fresh: Vec<Tuple> = match base.facts.relation(p) {
+                Some(b) => rel.iter().filter(|t| !b.contains(t)).cloned().collect(),
+                None => rel.iter().cloned().collect(),
             };
-            if novel {
+            if !fresh.is_empty() {
                 grown.insert(p);
+                novel.insert(p, fresh);
             }
         }
-        for r in relevant {
-            if base.facts.relation(r.head.pred).is_none() {
-                grown.insert(r.head.pred);
-            }
+        for r in self.rules.get(new_rules_from..).unwrap_or_default() {
+            grown.insert(r.head.pred);
         }
         let mut deps: Vec<(Sym, Sym, bool)> = Vec::new();
         for r in relevant {
@@ -591,8 +610,18 @@ impl Engine {
         let mut edb = self.edb.clone();
         let mut seeded = 0usize;
         for &p in &touched {
-            if !unstable.contains(&p) {
-                seeded += edb.absorb_pred(p, &base.facts);
+            if unstable.contains(&p) {
+                continue;
+            }
+            let Some(shared) = base.facts.relation_arc(p).filter(|r| !r.is_empty()) else {
+                continue;
+            };
+            let own = novel.remove(&p).unwrap_or_default();
+            let known = self.edb.relation(p).map_or(0, Relation::len) - own.len();
+            seeded += shared.len() - known;
+            edb.set_relation(p, shared);
+            for t in own {
+                edb.insert(p, t);
             }
         }
         let stable: HashSet<Sym> = touched
@@ -787,7 +816,7 @@ mod tests {
     }
 
     #[test]
-    fn run_for_seeded_matches_scratch_and_skips_stable_strata() {
+    fn run_for_query_seeded_matches_scratch_and_skips_stable_strata() {
         use std::collections::HashSet;
         let mut e = Engine::new();
         e.load(
@@ -800,10 +829,14 @@ mod tests {
         let base = e.run(&opts).unwrap();
         // Query time: a new fact for the negated predicate and a new view
         // rule, but nothing feeding `tc`.
+        let new_rules_from = e.rules().len();
         e.load("m(c). view(X) :- tc(a,X), not m(X).").unwrap();
         let view = e.lookup("view").unwrap();
         let tc = e.lookup("tc").unwrap();
-        let warm = e.run_for_seeded(&[view], &base, &opts).unwrap();
+        let goal = Atom::new(view, vec![Term::Var(Var(0))]);
+        let warm = e
+            .run_for_query_seeded(&goal, &base, new_rules_from, &opts)
+            .unwrap();
         let cold = e.run_for(&[view], &opts).unwrap();
         let wset: HashSet<Tuple> = warm.tuples(view).into_iter().collect();
         let cset: HashSet<Tuple> = cold.tuples(view).into_iter().collect();
@@ -820,11 +853,12 @@ mod tests {
         let d = e.constant("d");
         assert!(warm.holds(tc, &[a, d]));
         // Ablation: with the cache layer off, the same call degenerates to
-        // run_for and still agrees.
+        // run_for_query and still agrees.
         let nocache = e
-            .run_for_seeded(
-                &[view],
+            .run_for_query_seeded(
+                &goal,
                 &base,
+                new_rules_from,
                 &EvalOptions {
                     base_cache: false,
                     ..Default::default()
@@ -836,7 +870,7 @@ mod tests {
     }
 
     #[test]
-    fn run_for_seeded_invalidates_through_negation() {
+    fn run_for_query_seeded_invalidates_through_negation() {
         let mut e = Engine::new();
         e.load(
             "n(a). n(b).
@@ -849,8 +883,12 @@ mod tests {
         assert_eq!(base.tuples(good).len(), 2);
         // bad(a) arrives after the base model was computed: good(a) from
         // the base must NOT survive seeding.
+        let new_rules_from = e.rules().len();
         e.load("bad(a).").unwrap();
-        let warm = e.run_for_seeded(&[good], &base, &opts).unwrap();
+        let goal = Atom::new(good, vec![Term::Var(Var(0))]);
+        let warm = e
+            .run_for_query_seeded(&goal, &base, new_rules_from, &opts)
+            .unwrap();
         let b = e.constant("b");
         let a = e.constant("a");
         assert!(warm.holds(good, &[b]));
@@ -1014,10 +1052,13 @@ mod tests {
         .unwrap();
         let opts = EvalOptions::default();
         let base = e.run(&opts).unwrap();
+        let new_rules_from = e.rules().len();
         e.load("m(c). view(X) :- tc(a,X), not m(X).").unwrap();
         let view = e.lookup("view").unwrap();
         let goal = Atom::new(view, vec![Term::Var(Var(0))]);
-        let warm = e.run_for_query_seeded(&goal, &base, &opts).unwrap();
+        let warm = e
+            .run_for_query_seeded(&goal, &base, new_rules_from, &opts)
+            .unwrap();
         let cold = e.run_for(&[view], &opts).unwrap();
         let wset: HashSet<Vec<Term>> = warm.query(&goal).into_iter().collect();
         let cset: HashSet<Vec<Term>> = cold.query(&goal).into_iter().collect();
@@ -1047,10 +1088,13 @@ mod tests {
         // stable): the rewrite adorns it, the copy rule routes the
         // absorbed cached closure in, and only demanded bindings are
         // re-derived.
+        let new_rules_from = e.rules().len();
         e.load("e(d,d2). view(X) :- tc(a,X).").unwrap();
         let view = e.lookup("view").unwrap();
         let goal = Atom::new(view, vec![Term::Var(Var(0))]);
-        let warm = e.run_for_query_seeded(&goal, &base, &opts).unwrap();
+        let warm = e
+            .run_for_query_seeded(&goal, &base, new_rules_from, &opts)
+            .unwrap();
         let cold = e.run_for(&[view], &opts).unwrap();
         let wset: HashSet<Vec<Term>> = warm.query(&goal).into_iter().collect();
         let cset: HashSet<Vec<Term>> = cold.query(&goal).into_iter().collect();

@@ -72,7 +72,6 @@ pub(crate) fn eval_well_founded_planned(
         plans: planned.plans.clone(),
         ..Default::default()
     };
-    let counters = crate::eval::IndexCounters::default();
     let mut lower = edb.clone();
     let mut sweeps = 0usize;
     let (facts, undefined) = loop {
@@ -86,7 +85,7 @@ pub(crate) fn eval_well_founded_planned(
                 limit: opts.max_iterations,
             });
         }
-        let upper = gamma(rules, edb, &lower, &mut stats, &counters, opts)?;
+        let upper = gamma(rules, edb, &lower, &mut stats, opts)?;
         // The lower sequence stays below every upper (both monotone toward
         // the fixpoint), so size equality implies set equality throughout.
         // `Γ(lower) == lower` means the fixpoint is *total* — the
@@ -95,7 +94,7 @@ pub(crate) fn eval_well_founded_planned(
         if upper.len() == lower.len() {
             break (upper, FactStore::new());
         }
-        let new_lower = gamma(rules, edb, &upper, &mut stats, &counters, opts)?;
+        let new_lower = gamma(rules, edb, &upper, &mut stats, opts)?;
         // `Lᵢ₊₁ = Γ(Uᵢ) ⊆ Γ(Lᵢ) = Uᵢ` (Γ antitone, `Lᵢ ⊆ Uᵢ`), so size
         // equality here means `Lᵢ₊₁ = Uᵢ` — making `Lᵢ₊₁` a fixpoint of Γ
         // (`Γ(Lᵢ₊₁) = Γ(Uᵢ) = Lᵢ₊₁`): the total two-valued model. The next
@@ -104,17 +103,20 @@ pub(crate) fn eval_well_founded_planned(
             break (new_lower, FactStore::new());
         }
         if new_lower.len() == lower.len() {
+            // Only rule heads differ between the two bounds: every other
+            // relation is `edb`'s in both.
             let mut undefined = FactStore::new();
-            for (p, t) in upper.iter() {
-                if !new_lower.contains(p, t) {
-                    undefined.insert(p, t.clone());
+            for &p in &planned.preds {
+                for t in upper.relation(p).into_iter().flat_map(|r| r.iter()) {
+                    if !new_lower.contains(p, t) {
+                        undefined.insert(p, t.clone());
+                    }
                 }
             }
             break (new_lower, undefined);
         }
         lower = new_lower;
     };
-    counters.fold_into(&mut stats);
     summary.iterations = stats.iterations;
     summary.derived = stats.derived;
     summary.index_builds = stats.index_builds;

@@ -247,20 +247,6 @@ impl FLogic {
         self.engine.run_for(&syms, opts)
     }
 
-    /// Like [`FLogic::run_for`], but evaluated as a delta on top of a
-    /// cached `base` model (see `kind_datalog::Engine::run_for_seeded` for
-    /// the contract): strata untouched since `base` was computed are
-    /// seeded from it and skipped.
-    pub fn run_for_seeded(
-        &self,
-        goals: &[&str],
-        base: &Model,
-        opts: &EvalOptions,
-    ) -> Result<Model, DatalogError> {
-        let syms: Vec<_> = goals.iter().filter_map(|g| self.engine.lookup(g)).collect();
-        self.engine.run_for_seeded(&syms, base, opts)
-    }
-
     /// Evaluates a single goal atom demand-driven (see
     /// `kind_datalog::Engine::run_for_query`): on top of the
     /// predicate-level prune of [`FLogic::run_for`], the magic-sets
@@ -276,15 +262,17 @@ impl FLogic {
     }
 
     /// Like [`FLogic::run_for_query`], but evaluated as a delta on top of
-    /// a cached `base` model (see
-    /// `kind_datalog::Engine::run_for_query_seeded`).
+    /// a cached `base` model of the first `new_rules_from` rules (see
+    /// `kind_datalog::Engine::run_for_query_seeded` for the contract).
     pub fn run_for_query_seeded(
         &mut self,
         goal: &Atom,
         base: &Model,
+        new_rules_from: usize,
         opts: &EvalOptions,
     ) -> Result<Model, DatalogError> {
-        self.engine.run_for_query_seeded(goal, base, opts)
+        self.engine
+            .run_for_query_seeded(goal, base, new_rules_from, opts)
     }
 
     /// Names of all instances of `class` in the model.

@@ -695,6 +695,8 @@ fn eval_op(
                         ("index_hits", Json::int(answer.stats.index_hits as u64)),
                         ("magic_fired", Json::Bool(answer.magic_fired)),
                         ("magic_declined", Json::Bool(answer.magic_declined)),
+                        ("seeded", Json::Bool(answer.seeded)),
+                        ("skipped_strata", Json::int(answer.skipped_strata as u64)),
                     ]),
                 ),
             ]))

@@ -71,6 +71,10 @@ fn serves_the_whole_protocol() {
     assert!(!rows.is_empty(), "calcium sites exist in the scenario");
     let eval = resp.get("eval").expect("eval counters present");
     assert!(eval.get("derived").and_then(Json::as_u64).unwrap() > 0);
+    // The warm path: seeded from the snapshot's model, with the domain-map
+    // strata skipped rather than re-derived.
+    assert_eq!(eval.get("seeded").and_then(Json::as_bool), Some(true));
+    assert!(eval.get("skipped_strata").and_then(Json::as_u64).unwrap() > 0);
 
     // plan: the warm §5 replay.
     let resp = conn.request(obj([("op", Json::str("plan"))])).unwrap();

@@ -5,15 +5,24 @@
 //!
 //! Not supported (not needed for the wire format): external entities,
 //! namespaces beyond verbatim `prefix:name` tags, and DTD validation.
+//!
+//! Bundles arrive over the wire, so nesting is bounded: elements may nest
+//! at most [`MAX_DEPTH`] levels deep; deeper input is a parse error, not
+//! a stack overflow.
 
 use crate::dom::{Document, Element, Node};
 use crate::error::XmlError;
+
+/// How deeply elements may nest (the document element is level 1). The
+/// same bound the Datalog and FL parsers put on their nesting.
+pub const MAX_DEPTH: usize = 128;
 
 /// Parses an XML document.
 pub fn parse(src: &str) -> Result<Document, XmlError> {
     let mut p = Parser {
         src: src.as_bytes(),
         pos: 0,
+        depth: 1,
     };
     p.skip_misc()?;
     let root = p.element()?;
@@ -27,6 +36,8 @@ pub fn parse(src: &str) -> Result<Document, XmlError> {
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Nesting level of the element being parsed (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -205,7 +216,12 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<?") {
                 self.skip_until("?>")?;
             } else if self.peek() == b'<' {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("elements nest deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
                 let child = self.element()?;
+                self.depth -= 1;
                 elem.children.push(Node::Element(child));
             } else {
                 let start = self.pos;

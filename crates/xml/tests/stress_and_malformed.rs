@@ -1,6 +1,7 @@
 //! Stress and adversarial-input tests for the XML substrate.
 
-use kind_xml::{parse, to_pretty_string, to_string, Element, Path, Transform};
+use kind_xml::parser::MAX_DEPTH;
+use kind_xml::{parse, to_pretty_string, to_string, Element, Path, Transform, XmlError};
 
 #[test]
 fn large_flat_document_roundtrips() {
@@ -15,9 +16,7 @@ fn large_flat_document_roundtrips() {
     assert_eq!(parse(&out).unwrap(), parsed);
 }
 
-#[test]
-fn deeply_nested_document() {
-    let depth = 200;
+fn nested(depth: usize) -> String {
     let mut doc = String::new();
     for i in 0..depth {
         doc.push_str(&format!("<d{i}>"));
@@ -26,9 +25,32 @@ fn deeply_nested_document() {
     for i in (0..depth).rev() {
         doc.push_str(&format!("</d{i}>"));
     }
-    let parsed = parse(&doc).unwrap();
+    doc
+}
+
+#[test]
+fn deeply_nested_document() {
+    let parsed = parse(&nested(MAX_DEPTH)).unwrap();
     assert_eq!(parsed.root.deep_text(), "leaf");
-    assert_eq!(parsed.root.subtree_size(), depth);
+    assert_eq!(parsed.root.subtree_size(), MAX_DEPTH);
+}
+
+#[test]
+fn nesting_past_the_limit_is_a_parse_error() {
+    let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+    assert!(
+        matches!(&err, XmlError::Parse { message, .. } if message.contains("nest")),
+        "{err:?}"
+    );
+    // Far past the limit, on a small stack: a typed error, not an abort.
+    let doc = "<a>".repeat(10_000);
+    let err = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || parse(&doc).unwrap_err())
+        .unwrap()
+        .join()
+        .expect("parse returns instead of overflowing the stack");
+    assert!(matches!(err, XmlError::Parse { .. }), "{err:?}");
 }
 
 #[test]

@@ -27,7 +27,7 @@ use crate::hub::{PinnedSnapshot, SnapshotHub};
 use crate::knowledge::Knowledge;
 use crate::snapshot::QuerySnapshot;
 use crate::wrapper::{Anchor, ObjectRow, SourceQuery, Wrapper};
-use kind_datalog::{EvalOptions, EvalProfile, EvalStats, Interner, Model, Term};
+use kind_datalog::{EvalOptions, EvalProfile, EvalStats, Interner, Model, Sym, Term};
 use kind_dm::{axiom, rules, DomainMap, ExecMode, Resolved, SemanticIndex, SourceId, DM_OPS_RULES};
 use kind_gcm::{GcmBase, GcmDecl};
 use std::collections::{BTreeSet, HashMap};
@@ -986,7 +986,11 @@ impl Mediator {
     /// the domain map, resolved view, and semantic index `Arc`s are
     /// reused for as long as registration does not change them; and the
     /// base clone itself is reused verbatim across consecutive snapshots
-    /// when no write intervened.
+    /// when no write intervened. That clone copies no symbol, rule or
+    /// fact either: `GcmBase` shares them copy-on-write, so the
+    /// mediator's next write copies only the part it writes (the symbol
+    /// table when a row brings new names, one relation per predicate it
+    /// asserts into).
     pub fn snapshot(&mut self) -> Result<QuerySnapshot> {
         self.run()?;
         let base = match &self.shared_base {
@@ -1043,7 +1047,8 @@ impl Mediator {
     }
 
     /// The warm [`Mediator::answer`] path (see `query.rs`): evaluates a
-    /// one-off view on a scratch clone of the base, seeded with the
+    /// one-off view on an overlay of the base (which reads through the
+    /// base's symbols and rules without copying them), seeded with the
     /// cached base-layer model so only query-relevant strata are
     /// recomputed (`run_for_query_seeded`). Returns `None` when seeding would
     /// be unsound — the head predicate already has facts in the base
@@ -1069,7 +1074,7 @@ impl Mediator {
         }
         // The base itself is not touched below: the cached model stays
         // valid, and the shared `Arc` means no take/put juggling.
-        self.answer_on_clone(
+        self.answer_on_overlay(
             rule_text,
             head_pred,
             head_args,
@@ -1080,7 +1085,7 @@ impl Mediator {
         .map(Some)
     }
 
-    fn answer_on_clone(
+    fn answer_on_overlay(
         &mut self,
         rule_text: &str,
         head_pred: &str,
@@ -1089,7 +1094,7 @@ impl Mediator {
         scratch: &Interner,
         base_model: &Model,
     ) -> Result<RowsAndSources> {
-        let mut work = self.base.clone();
+        let mut work = self.base.overlay();
         let new_rules_from = work.flogic().engine().rules().len();
         work.flogic_mut().load(rule_text)?;
         // Fetch phase: scan every source exporting a mentioned class,
@@ -1110,7 +1115,7 @@ impl Mediator {
             }
         }
         // The goal's constant arguments were interned by the caller's
-        // scratch parse; map them into the work clone so the pattern (and
+        // scratch parse; map them into the overlay so the pattern (and
         // the magic-sets demand seeds derived from it) bind correctly.
         let goal_args: Vec<Term> = head_args
             .iter()
@@ -1132,24 +1137,11 @@ impl Mediator {
             new_rules_from,
             &self.eval_options,
         )?;
-        let rows = model.query(&goal);
-        // Answer terms may reference symbols interned only in the scratch
-        // clone (object ids fetched this query); re-intern them into the
-        // mediator's own engine so `show` resolves them.
-        let rows = rows
-            .into_iter()
-            .map(|r| {
-                r.iter()
-                    .map(|t| {
-                        reintern_term(
-                            work.flogic().engine().symbols(),
-                            self.base.flogic_mut().engine_mut(),
-                            t,
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        let rows = export_rows(
+            model.query(&goal),
+            work,
+            self.base.flogic_mut().engine_mut(),
+        );
         Ok((
             rows,
             contacted.into_iter().collect(),
@@ -1160,7 +1152,7 @@ impl Mediator {
 }
 
 /// Loads one row's GCM declarations into `base` — the shared load path
-/// for the mediator's own base and for per-query scratch clones.
+/// for the mediator's own base and for per-query overlays of it.
 pub(crate) fn apply_row_to(
     base: &mut GcmBase,
     source: &str,
@@ -1180,6 +1172,56 @@ pub(crate) fn apply_row_to(
         })?;
     }
     Ok(())
+}
+
+/// Moves answer rows out of a per-call overlay of `to` into `to`'s own
+/// symbol space, so `show` resolves them. Symbols below `to`'s count are
+/// the ones the overlay reads through and carry over as they are; names
+/// the overlay interned itself (ids of rows fetched for this query) are
+/// interned into `to` — after the overlay is dropped, since interning
+/// while it still shares `to`'s symbol table would copy the table.
+fn export_rows(
+    rows: Vec<Vec<Term>>,
+    overlay: GcmBase,
+    to: &mut kind_datalog::Engine,
+) -> Vec<Vec<Term>> {
+    let shared = to.symbols().len();
+    let mut names: HashMap<Sym, String> = HashMap::new();
+    let syms = overlay.flogic().engine().symbols();
+    for t in rows.iter().flatten() {
+        map_syms(t, &mut |s| {
+            if s.index() >= shared {
+                names
+                    .entry(s)
+                    .or_insert_with(|| syms.resolve(s).to_string());
+            }
+            s
+        });
+    }
+    drop(overlay);
+    if names.is_empty() {
+        return rows;
+    }
+    let fresh: HashMap<Sym, Sym> = names.into_iter().map(|(s, n)| (s, to.sym(&n))).collect();
+    rows.iter()
+        .map(|r| {
+            r.iter()
+                .map(|t| map_syms(t, &mut |s| fresh.get(&s).copied().unwrap_or(s)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Rebuilds `t` with every symbol passed through `f`.
+fn map_syms(t: &Term, f: &mut impl FnMut(Sym) -> Sym) -> Term {
+    match t {
+        Term::Const(s) => Term::Const(f(*s)),
+        Term::Func(s, args) => {
+            let s = f(*s);
+            Term::func(s, args.iter().map(|a| map_syms(a, f)).collect())
+        }
+        other => other.clone(),
+    }
 }
 
 /// Recursively re-interns a ground term from one symbol table into

@@ -18,6 +18,14 @@
 //!    subprogram relevant to the answer predicate** (relevance-filtered
 //!    evaluation, `kind_datalog::Engine::run_for`);
 //! 4. returns the answer tuples and uninstalls the view.
+//!
+//! With the cross-query cache on (the default), steps 3 and 4 happen on a
+//! per-call **overlay** of the base (`GcmBase::overlay`) rather than the
+//! base itself: the view and the fetched rows land in the overlay's own
+//! tail, the base's symbols and rules are read through without a copy,
+//! and evaluation is seeded from the cached model with a seed plan sized
+//! by the overlay's delta (`kind_datalog::Engine::run_for_query_seeded`).
+//! Dropping the overlay uninstalls the view.
 
 use crate::error::{MediatorError, Result};
 use crate::fault::AnswerReport;
@@ -53,6 +61,10 @@ pub struct AnswerSet {
     pub seeded: bool,
     /// Strata seeded from the cached base model and skipped outright.
     pub skipped_strata: usize,
+    /// EDB facts the answer added (fetched rows, the view's own facts)
+    /// that the cached base model lacked — the delta its seed plan
+    /// started from (see [`kind_datalog::EvalProfile::novel_facts`]).
+    pub novel_facts: usize,
 }
 
 impl Mediator {
@@ -89,7 +101,7 @@ impl Mediator {
             .collect();
         // Warm path (cross-query caching): reuse the cached base-layer
         // model and evaluate only this query's delta — the temporary view
-        // plus freshly fetched rows — on a scratch clone of the base.
+        // plus freshly fetched rows — on an overlay of the base.
         // Strata untouched by the delta are seeded from the cache instead
         // of recomputed (see `kind_datalog::Engine::run_for_query_seeded`).
         if self.eval_options().base_cache {
@@ -105,6 +117,7 @@ impl Mediator {
                     magic_fired: profile.magic_fired,
                     seeded: profile.seed_declined.is_none(),
                     skipped_strata: profile.skipped_strata(),
+                    novel_facts: profile.novel_facts,
                 });
             }
         }
@@ -170,6 +183,7 @@ impl Mediator {
             magic_fired: model.profile.magic_fired,
             seeded: false,
             skipped_strata: 0,
+            novel_facts: 0,
         })
     }
 }

@@ -12,8 +12,13 @@
 //!   all the way down. A constant the snapshot has never seen simply
 //!   matches nothing.
 //! * [`QuerySnapshot::answer`] evaluates a one-off rule on a per-call
-//!   **clone** of the frozen base (per-thread scratch space), seeded from
-//!   the shared model so only the rule's own stratum is computed.
+//!   **overlay** of the frozen base (`GcmBase::overlay`): it reads
+//!   through the snapshot's symbol table, rules and relations without
+//!   copying them, keeps the rule and any symbols it interns to itself,
+//!   and is seeded from the shared model so only the rule's own stratum
+//!   is computed. Its fixed cost does not grow with the snapshot: the
+//!   seed plan starts from the overlay's own delta and the program's
+//!   strata come from the base's memoized stratification.
 //!
 //! The only shared mutable state anywhere below a snapshot is the
 //! `RwLock`-backed closure memo tables inside [`Resolved`] — concurrent
@@ -42,7 +47,7 @@ use std::sync::Arc;
 pub struct SnapshotAnswer {
     /// Rendered rows in head-variable order, sorted.
     pub rows: Vec<Vec<String>>,
-    /// Evaluation statistics of the per-call scratch run.
+    /// Evaluation statistics of the per-call overlay run.
     pub stats: EvalStats,
     /// Whether the magic-sets demand rewrite fired for this goal.
     pub magic_fired: bool,
@@ -54,6 +59,10 @@ pub struct SnapshotAnswer {
     pub seeded: bool,
     /// Strata seeded from the snapshot's model and skipped outright.
     pub skipped_strata: usize,
+    /// EDB facts the answer added that the snapshot's model lacked — the
+    /// delta its seed plan started from (see
+    /// [`kind_datalog::EvalProfile::novel_facts`]).
+    pub novel_facts: usize,
 }
 
 /// A frozen, `Send + Sync` view of an evaluated mediator: shared base +
@@ -193,14 +202,22 @@ impl QuerySnapshot {
     /// snapshot's materialized data** — no sources are contacted; rows
     /// fetched before the snapshot was taken are what there is to query.
     ///
-    /// Each call clones the frozen base into private scratch space, loads
-    /// the rule there, and evaluates it seeded from the shared model, so
-    /// strata the rule does not touch are never recomputed and concurrent
-    /// callers share nothing mutable. Returns rendered rows (sorted), in
+    /// Each call loads the rule into a private overlay of the frozen base
+    /// and evaluates it seeded from the shared model, so strata the rule
+    /// does not touch are never recomputed, nothing of the base is
+    /// copied, and concurrent callers share nothing mutable. Returns rendered rows (sorted), in
     /// head-variable order.
     pub fn answer(&self, rule_text: &str) -> Result<Vec<Vec<String>>> {
         self.answer_with(rule_text, &self.eval_options)
             .map(|a| a.rows)
+    }
+
+    /// The per-call working base of [`Self::answer_with`]: an overlay of
+    /// the frozen base. Loading the rule interns new symbols and adds the
+    /// rule *there*; the shared snapshot is read through, never copied or
+    /// written.
+    pub(crate) fn scratch_base(&self) -> GcmBase {
+        self.base.overlay()
     }
 
     /// [`Self::answer`] with caller-supplied evaluation options and the
@@ -229,14 +246,12 @@ impl QuerySnapshot {
             }));
         };
         let head_pred = scratch.resolve(head.pred).to_string();
-        // Per-call scratch clone of the frozen base: loading the rule
-        // interns new symbols *there*, never in the shared snapshot.
-        let mut work = (*self.base).clone();
+        let mut work = self.scratch_base();
         let new_rules_from = work.flogic().engine().rules().len();
         work.flogic_mut().load(rule_text)?;
         // Seeding from the cached model is unsound if the head predicate
         // already has base facts (the seed would double as input); fall
-        // back to a full evaluation on the clone in that case.
+        // back to a full evaluation on the overlay in that case.
         let collides = self
             .base
             .flogic()
@@ -244,8 +259,8 @@ impl QuerySnapshot {
             .lookup(&head_pred)
             .is_some_and(|p| self.model.facts.relation(p).is_some_and(|r| !r.is_empty()));
         // The goal's constant arguments live in the scratch interner; map
-        // them into the work clone so the pattern (and the magic-sets
-        // demand seeds derived from it) bind correctly.
+        // them into the overlay so the pattern (and the magic-sets demand
+        // seeds derived from it) bind correctly.
         let goal_args: Vec<kind_datalog::Term> = head
             .args
             .iter()
@@ -287,6 +302,7 @@ impl QuerySnapshot {
             magic_declined: model.profile.magic_declined,
             seeded: model.profile.seed_declined.is_none(),
             skipped_strata: model.profile.skipped_strata(),
+            novel_facts: model.profile.novel_facts,
         })
     }
 }
@@ -383,6 +399,49 @@ mod tests {
         assert_eq!(first.stats, second.stats);
         assert_eq!(first.stats, fresh.stats);
         assert_eq!(first.rows, fresh.rows);
+    }
+
+    /// A snapshot answer works on an overlay of the frozen base
+    /// ([`QuerySnapshot::scratch_base`]): the overlay reads through the
+    /// snapshot's symbol table and rules (the very same allocations,
+    /// before and after it loads a rule and applies rows), and answering
+    /// leaves the snapshot as it was.
+    #[test]
+    fn answers_overlay_the_frozen_base_without_copying_it() {
+        let s = mediator().snapshot().unwrap();
+        let frozen = s.base().flogic().engine();
+        let (syms, rules, facts) = (
+            frozen.symbols().len(),
+            frozen.rules().len(),
+            frozen.edb().len(),
+        );
+        let mut work = s.scratch_base();
+        assert!(work.flogic().engine().shares_program(frozen));
+        work.flogic_mut()
+            .load("fresh_view(X) :- X : spines.")
+            .unwrap();
+        let row = ObjectRow {
+            id: "new".into(),
+            attrs: vec![("len".into(), GcmValue::Int(7))],
+        };
+        crate::mediator::apply_row_to(&mut work, "A", "spines", &row).unwrap();
+        assert!(work.flogic().engine().shares_program(frozen));
+        assert_eq!(work.flogic().engine().rules().len(), rules + 1);
+        drop(work);
+
+        let model = s.model() as *const _;
+        let q = "long(X, L) :- X : spines, X[len -> L], L >= 1.";
+        let a = s.answer_with(q, s.eval_options()).unwrap();
+        assert_eq!(a.rows.len(), 2);
+        assert!(a.seeded);
+        assert_eq!(a.novel_facts, 0, "a snapshot answer adds no facts");
+        let frozen = s.base().flogic().engine();
+        assert_eq!(frozen.symbols().len(), syms);
+        assert_eq!(frozen.rules().len(), rules);
+        assert_eq!(frozen.edb().len(), facts);
+        assert!(frozen.lookup("long").is_none());
+        assert!(frozen.lookup("fresh_view").is_none());
+        assert!(std::ptr::eq(s.model(), model));
     }
 
     /// Registration rebuilds the semantic index (new anchors) but reuses

@@ -57,7 +57,7 @@ fn snapshot_fixture() -> QuerySnapshot {
 }
 
 /// The mixed workload: FL patterns served lock-free off the frozen
-/// model, and one-off rules evaluated on per-call scratch clones.
+/// model, and one-off rules evaluated on per-call overlays.
 const PATTERNS: &[&str] = &[
     "X : spines",
     "long_spine(X, L)",
@@ -234,6 +234,57 @@ fn section5_fixture() -> (Mediator, NeuroSchema, Section5Query) {
         ion: "calcium".into(),
     };
     (m, schema, q)
+}
+
+/// The six answer shapes of the benchmark's templates
+/// (`perfbench/src/gen.rs`), instantiated on the miniature §5 scenario.
+const TEMPLATE_SHAPES: &[&str] = &[
+    r#"pb_sites(L, A) :- X : protein_amount, X[protein_name -> "Calbindin"], X[location -> L], X[amount -> A]."#,
+    r#"pb_at(P, A) :- X : protein_amount, X[location -> "Spine"], X[protein_name -> P], X[amount -> A]."#,
+    r#"pb_pair(X, A) :- X : protein_amount, X[protein_name -> "CaMKII"], X[location -> "Spine"], X[amount -> A]."#,
+    r#"pb_calcium(P, L) :- X : protein_amount, X[protein_name -> P], X[location -> L], X[ion_bound -> "calcium"]."#,
+    r#"pb_recv(Y, O) :- Y : neurotransmission, Y[receiving_compartment -> "Spine"], Y[organism -> O]."#,
+    r#"pb_join(C, A) :- Y : neurotransmission, Y[receiving_compartment -> C], X : protein_amount, X[location -> C], X[protein_name -> "Calbindin"], X[amount -> A]."#,
+];
+
+/// Every template shape answered on per-call overlays of one snapshot
+/// from 8 threads at once: rows and evaluation counters equal the
+/// single-threaded run's. Overlays share the snapshot's symbol table,
+/// rules and relations (indexes built on first probe included), so this
+/// is where a sharing bug would show.
+#[test]
+fn eight_threads_answer_every_template_shape_identically() {
+    let (mut m, _, _) = section5_fixture();
+    m.materialize_all().unwrap();
+    let snap = m.snapshot().unwrap();
+    let answer = |rule: &str| {
+        let a = snap.answer_with(rule, snap.eval_options()).unwrap();
+        (a.rows, a.stats, a.magic_fired, a.seeded, a.skipped_strata)
+    };
+    let expected: Vec<_> = TEMPLATE_SHAPES.iter().map(|r| answer(r)).collect();
+    for (rule, (rows, _, _, seeded, _)) in TEMPLATE_SHAPES.iter().zip(&expected) {
+        assert!(!rows.is_empty(), "no rows for {rule}");
+        assert!(seeded, "not seeded: {rule}");
+    }
+    thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|salt| {
+                let (answer, expected) = (&answer, &expected);
+                s.spawn(move || {
+                    for round in 0..4 {
+                        for k in 0..TEMPLATE_SHAPES.len() {
+                            let i = (k + salt + round) % TEMPLATE_SHAPES.len();
+                            let got = answer(TEMPLATE_SHAPES[i]);
+                            assert_eq!(got, expected[i], "thread {salt}: {}", TEMPLATE_SHAPES[i]);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+    });
 }
 
 #[test]

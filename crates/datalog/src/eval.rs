@@ -33,7 +33,7 @@ use crate::atom::{AggFunc, Aggregate, Atom, BodyItem, CmpOp};
 use crate::error::{DatalogError, Result};
 use crate::fact::{FactStore, Tuple};
 use crate::interner::Sym;
-use crate::program::Stratification;
+use crate::program::{RuleList, Stratification, Stratum};
 use crate::rule::Rule;
 use crate::term::{Subst, Term};
 use std::cell::{Cell, RefCell};
@@ -314,6 +314,10 @@ pub struct EvalProfile {
     pub well_founded: bool,
     /// Facts seeded from a cached base model before evaluation.
     pub seeded: usize,
+    /// EDB facts a seeded query found missing from its cached base model
+    /// — the delta its seed plan started from (on an overlay, the facts
+    /// the overlay added that the base model lacks).
+    pub novel_facts: usize,
     /// Why a seeded query evaluation fell back to a cold one; `None` when
     /// it seeded, or when no seeding was asked for.
     pub seed_declined: Option<SeedDecline>,
@@ -806,8 +810,11 @@ pub(crate) fn eval_stratified(
     edb: &FactStore,
     opts: &EvalOptions,
 ) -> Result<Model> {
-    Ok(eval_stratified_skipping(rules, strat, edb, opts, None)?
-        .expect("a stratified program leaves nothing undefined"))
+    let strata: Vec<&Stratum> = strat.strata.iter().collect();
+    Ok(
+        eval_stratified_skipping(RuleList::from(rules), &strata, edb, opts, None)?
+            .expect("a stratified program leaves nothing undefined"),
+    )
 }
 
 /// Like [`eval_stratified`], but skips any stratum whose predicates are
@@ -820,12 +827,14 @@ pub(crate) fn eval_stratified(
 /// the two-valued strata beneath, so this is exact while every local
 /// fixpoint stays two-valued; `Ok(None)` when one leaves atoms undefined.
 ///
-/// `edb` is cloned shallowly: relations no evaluated stratum writes stay
-/// shared with it (and with whatever model they were seeded from); the
-/// rest are copied on first write.
+/// `strata` (in evaluation order) address `rules` by index; a skipped
+/// stratum's rules are never looked at. `edb` is cloned shallowly:
+/// relations no evaluated stratum writes stay shared with it (and with
+/// whatever model they were seeded from); the rest are copied on first
+/// write.
 pub(crate) fn eval_stratified_skipping(
-    rules: &[Rule],
-    strat: &Stratification,
+    rules: RuleList<'_>,
+    strata: &[&Stratum],
     edb: &FactStore,
     opts: &EvalOptions,
     stable: Option<&HashSet<Sym>>,
@@ -834,7 +843,7 @@ pub(crate) fn eval_stratified_skipping(
     let mut stats = EvalStats::default();
     let mut profile = EvalProfile::default();
     let counters = IndexCounters::default();
-    for stratum in &strat.strata {
+    for &stratum in strata {
         let mut sp = StratumProfile {
             preds: stratum.preds.clone(),
             recursive: stratum.recursive,

@@ -192,7 +192,7 @@ impl crate::Engine {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "evaluation profile: {} strata{}{}{}{}{}",
+            "evaluation profile: {} strata{}{}{}{}{}{}",
             prof.strata.len(),
             if prof.well_founded {
                 " (well-founded)"
@@ -207,6 +207,10 @@ impl crate::Engine {
             match prof.skipped_strata() {
                 0 => String::new(),
                 n => format!(", {n} strata skipped"),
+            },
+            match prof.novel_facts {
+                0 => String::new(),
+                n => format!(", {n} novel facts in the seed delta"),
             },
             match prof.seed_declined {
                 Some(why) => format!(", seeding declined: {why:?}"),
@@ -455,6 +459,31 @@ mod tests {
             .unwrap();
         let dump = e.render_profile(&cold);
         assert!(dump.contains("seeding declined: CacheOff"), "{dump}");
+
+        // On an overlay the seed plan starts from the overlay's delta:
+        // `tag(b)` and `tag(c)` are new, `tag(a)` was already in the base
+        // model, and the negation cycle is still skipped.
+        let mut frozen = Engine::new();
+        frozen
+            .load(
+                "move(a,b). move(b,c). tag(a).
+                 win(X) :- move(X,Y), not win(Y).",
+            )
+            .unwrap();
+        let base = frozen.run(&opts).unwrap();
+        let mut work = frozen.overlay();
+        let new_rules_from = work.rules().len();
+        work.load("tag(a). tag(b). tag(c). goal(X) :- win(X), tag(X).")
+            .unwrap();
+        let goal = Atom::new(work.sym("goal"), vec![T::Var(Var(0))]);
+        let warm = work
+            .run_for_query_seeded(&goal, &base, new_rules_from, &opts)
+            .unwrap();
+        assert_eq!(warm.profile.novel_facts, 2);
+        let dump = work.render_profile(&warm);
+        assert!(dump.contains("2 novel facts in the seed delta"), "{dump}");
+        assert!(dump.contains("1 strata skipped"), "{dump}");
+        assert_eq!(warm.query(&goal).len(), 1); // win = {b}
     }
 
     #[test]

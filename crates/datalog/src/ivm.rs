@@ -59,7 +59,7 @@ use crate::program::Stratum;
 use crate::rule::Rule;
 use crate::term::{Subst, Term};
 use crate::Engine;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A typed changelog of engine mutations since the last model was
 /// published: asserted facts, retracted facts, and predicates whose
@@ -190,7 +190,7 @@ pub(crate) fn apply_delta(
     delta: &EngineDelta,
     opts: &EvalOptions,
 ) -> Result<Model> {
-    let rules = &engine.rules;
+    let rules = &*engine.rule_slice();
     let shape = engine.shape()?;
     let strat = &shape.strat;
     if !base.undefined.is_empty() {
@@ -200,12 +200,7 @@ pub(crate) fn apply_delta(
         return cold_fallback(engine, rules, opts);
     }
     let (grow, shrink) = classify(&shape.deps, delta);
-    let mut stratum_of: HashMap<Sym, usize> = HashMap::new();
-    for (i, s) in strat.strata.iter().enumerate() {
-        for &p in &s.preds {
-            stratum_of.insert(p, i);
-        }
-    }
+    let stratum_of = &shape.stratum_of;
     let modes: Vec<Mode> = strat
         .strata
         .iter()

@@ -64,34 +64,110 @@ pub use fact::{FactStore, Relation, Tuple};
 pub use interner::{Interner, Sym};
 pub use ivm::EngineDelta;
 pub use parser::Clause;
-pub use program::{stratify, Stratification, Stratum};
+pub use program::{stratify, RuleList, Stratification, Stratum};
 pub use rule::Rule;
 pub use term::{Subst, Term, Var};
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// Derived program structure, memoized per rule-set revision: the
 /// stratification plus the monotonicity-annotated dependency edges the
-/// incremental-maintenance planner propagates change through. Publishing
-/// a staged delta consults this on every call, so recomputing it only
-/// when the rule set actually changed keeps republish latency
+/// incremental-maintenance planner propagates change through, indexed
+/// both ways. Publishing a staged delta consults this on every call, and
+/// so does every seeded query on an overlay (for its frozen base), so
+/// recomputing it only when the rule set actually changed keeps both
 /// proportional to the delta.
 #[derive(Debug)]
 pub(crate) struct ProgramShape {
     pub(crate) strat: Stratification,
     /// `(head, body-pred, non-monotone?)` edges — see `collect_dep_edges`.
     pub(crate) deps: Vec<(Sym, Sym, bool)>,
+    /// Head predicate → index of its stratum in `strat`.
+    pub(crate) stratum_of: HashMap<Sym, usize>,
+    /// Per stratum: the predicates its rule bodies read, deduplicated.
+    inputs: Vec<Vec<Sym>>,
+    /// `deps` keyed by body predicate: `body → [(head, non-monotone?)]`.
+    dependents: HashMap<Sym, Vec<(Sym, bool)>>,
+}
+
+impl ProgramShape {
+    /// Analyses `rules`, numbering them from `first_rule` on (so the
+    /// strata of a list's suffix address the whole list).
+    fn of(rules: &[Rule], first_rule: usize, syms: &Interner) -> Result<Self> {
+        let mut strat = program::stratify(rules, |s| syms.resolve(s).to_string())?;
+        let mut deps = Vec::new();
+        for r in rules {
+            collect_dep_edges(&r.body, r.head.pred, false, &mut deps);
+        }
+        let mut stratum_of = HashMap::new();
+        let mut inputs = Vec::with_capacity(strat.strata.len());
+        for (i, s) in strat.strata.iter_mut().enumerate() {
+            let mut read = HashSet::new();
+            for ri in &mut s.rules {
+                collect_body_preds(&rules[*ri].body, &mut read);
+                *ri += first_rule;
+            }
+            let mut read: Vec<Sym> = read.into_iter().collect();
+            read.sort_unstable();
+            inputs.push(read);
+            for &p in &s.preds {
+                stratum_of.insert(p, i);
+            }
+        }
+        let mut dependents: HashMap<Sym, Vec<(Sym, bool)>> = HashMap::new();
+        for &(h, b, nonmono) in &deps {
+            dependents.entry(b).or_default().push((h, nonmono));
+        }
+        Ok(ProgramShape {
+            strat,
+            deps,
+            stratum_of,
+            inputs,
+            dependents,
+        })
+    }
+
+    /// Whether `pred` occurs anywhere in the program, as a head or in a
+    /// body.
+    fn mentions(&self, pred: Sym) -> bool {
+        self.stratum_of.contains_key(&pred) || self.dependents.contains_key(&pred)
+    }
+}
+
+/// What an overlay engine (see [`Engine::overlay`]) keeps for itself on
+/// top of the frozen engine it reads through.
+#[derive(Debug, Clone)]
+struct OverlayTail {
+    /// Rules added to the overlay, logically after the shared ones.
+    rules: Vec<Rule>,
+    /// Arities first seen in the overlay.
+    arities: HashMap<Sym, usize>,
+    /// How many rules the frozen engine had (a prefix of this one's).
+    frozen_rules: usize,
+    /// The frozen engine's memoized program shape; `None` when its
+    /// program does not stratify or a rule removal invalidated it.
+    frozen_shape: Option<Arc<ProgramShape>>,
 }
 
 /// The deductive engine: a symbol table, an extensional database, and a
 /// rule set, with evaluation producing an immutable [`Model`].
+///
+/// The symbol table, the rules and the arity map sit behind `Arc`s and
+/// the EDB's relations do too, so a `clone` copies no symbol, rule or
+/// fact: whichever side writes first copies what it writes. For per-call
+/// scratch work on a shared engine, [`Engine::overlay`] goes further and
+/// never copies those parts at all.
 #[derive(Debug, Default)]
 pub struct Engine {
     syms: Interner,
     edb: FactStore,
-    rules: Vec<Rule>,
-    arities: HashMap<Sym, usize>,
+    rules: Arc<Vec<Rule>>,
+    arities: Arc<HashMap<Sym, usize>>,
+    /// `Some` on an overlay: its own rules and arities, and what it
+    /// knows of the frozen engine beneath.
+    overlay: Option<Box<OverlayTail>>,
     /// When `Some`, every mutation (fact asserted/retracted, rule
     /// added/removed) is recorded for incremental maintenance — see
     /// [`Engine::begin_delta`]. Mutations themselves stay eager; the log
@@ -113,8 +189,9 @@ impl Clone for Engine {
         Engine {
             syms: self.syms.clone(),
             edb: self.edb.clone(),
-            rules: self.rules.clone(),
-            arities: self.arities.clone(),
+            rules: Arc::clone(&self.rules),
+            arities: Arc::clone(&self.arities),
+            overlay: self.overlay.clone(),
             changelog: self.changelog.clone(),
             rules_rev: self.rules_rev,
             // The memos are valid for the clone too: same rules, same rev.
@@ -167,12 +244,77 @@ impl Engine {
     }
 
     /// The current rule set.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
+    pub fn rules(&self) -> RuleList<'_> {
+        RuleList::new(&self.rules, self.local_rules())
+    }
+
+    /// The rules an overlay added itself (empty on a plain engine).
+    fn local_rules(&self) -> &[Rule] {
+        self.overlay.as_ref().map_or(&[], |o| &o.rules)
+    }
+
+    /// The current rule set as one slice: borrowed unless this is an
+    /// overlay holding rules of its own, which are copied together with
+    /// the shared ones (the cold paths of an overlay only).
+    fn rule_slice(&self) -> Cow<'_, [Rule]> {
+        if self.local_rules().is_empty() {
+            Cow::Borrowed(&self.rules)
+        } else {
+            Cow::Owned(self.rules().to_vec())
+        }
+    }
+
+    /// An overlay of this engine: a working engine that reads through
+    /// this one's symbol table, rules and arity map without copying them
+    /// (its EDB is a shallow clone — relations shared, copied on write)
+    /// and keeps only a local tail of its own: symbols it interns, rules
+    /// it adds, and the facts it asserts. Creating one costs the same no
+    /// matter how large this engine is.
+    ///
+    /// The overlay records its mutations from a fresh changelog (see
+    /// [`Engine::begin_delta`]), which is what
+    /// [`Engine::run_for_query_seeded`] reads to find the facts it added:
+    /// given a model of *this* engine's full program over exactly its
+    /// EDB, the seed plan then costs the size of the overlay's delta, not
+    /// of the EDB, and the overlay's program is this engine's memoized
+    /// stratification with the overlay's own rules stratified on top.
+    /// Draining the overlay's changelog with [`Engine::take_delta`] before
+    /// a seeded query breaks that contract.
+    pub fn overlay(&self) -> Engine {
+        Engine {
+            syms: self.syms.overlay(),
+            edb: self.edb.clone(),
+            rules: Arc::clone(&self.rules),
+            arities: Arc::clone(&self.arities),
+            overlay: Some(Box::new(OverlayTail {
+                rules: self.local_rules().to_vec(),
+                arities: self
+                    .overlay
+                    .as_ref()
+                    .map_or_else(HashMap::new, |o| o.arities.clone()),
+                frozen_rules: self.rules().len(),
+                frozen_shape: self.shape().ok(),
+            })),
+            changelog: Some(EngineDelta::default()),
+            rules_rev: self.rules_rev,
+            shape: Mutex::new(None),
+            wfs_plans: Mutex::new((0, HashMap::new())),
+        }
+    }
+
+    /// Whether this engine's symbol table and rules are the very
+    /// allocations `other` holds (diagnostics for the overlay sharing
+    /// contract).
+    pub fn shares_program(&self, other: &Engine) -> bool {
+        self.syms.shares_table(&other.syms) && Arc::ptr_eq(&self.rules, &other.rules)
     }
 
     fn check_arity(&mut self, pred: Sym, arity: usize) -> Result<()> {
-        match self.arities.get(&pred) {
+        let known = self
+            .arities
+            .get(&pred)
+            .or_else(|| self.overlay.as_ref()?.arities.get(&pred));
+        match known {
             Some(&a) if a != arity => Err(DatalogError::ArityMismatch {
                 pred: self.syms.resolve(pred).to_string(),
                 expected: a,
@@ -180,7 +322,10 @@ impl Engine {
             }),
             Some(_) => Ok(()),
             None => {
-                self.arities.insert(pred, arity);
+                match &mut self.overlay {
+                    Some(o) => o.arities.insert(pred, arity),
+                    None => Arc::make_mut(&mut self.arities).insert(pred, arity),
+                };
                 Ok(())
             }
         }
@@ -240,7 +385,10 @@ impl Engine {
         if let Some(log) = &mut self.changelog {
             log.log_rule(rule.head.pred);
         }
-        self.rules.push(rule);
+        match &mut self.overlay {
+            Some(o) => o.rules.push(rule),
+            None => Arc::make_mut(&mut self.rules).push(rule),
+        }
         self.rules_rev += 1;
         Ok(())
     }
@@ -248,16 +396,32 @@ impl Engine {
     /// Removes the rules at indices `start..end` (see [`Engine::rules`]
     /// for the current order), recording their head predicates as
     /// rule-changed in the active changelog. Used to uninstall temporary
-    /// views by span. Returns how many rules were removed.
+    /// views by span. Returns how many rules were removed. On an overlay
+    /// the remaining rules become its own (copied), and its seeded
+    /// queries stop relying on the frozen engine's program shape.
     pub fn remove_rules(&mut self, start: usize, end: usize) -> usize {
-        let end = end.min(self.rules.len());
+        let end = end.min(self.rules().len());
         if start >= end {
             return 0;
         }
-        for rule in self.rules.drain(start..end) {
+        let mut rules = match self.overlay.as_mut() {
+            Some(o) => {
+                o.frozen_shape = None;
+                let mut all = self.rules.to_vec();
+                all.append(&mut o.rules);
+                self.rules = Arc::new(Vec::new());
+                all
+            }
+            None => std::mem::take(Arc::make_mut(&mut self.rules)),
+        };
+        for rule in rules.drain(start..end) {
             if let Some(log) = &mut self.changelog {
                 log.log_rule(rule.head.pred);
             }
+        }
+        match self.overlay.as_mut() {
+            Some(o) => o.rules = rules,
+            None => self.rules = Arc::new(rules),
         }
         self.rules_rev += 1;
         end - start
@@ -331,7 +495,7 @@ impl Engine {
     /// alternating-fixpoint well-founded semantics when negation is
     /// recursive.
     pub fn run(&self, opts: &EvalOptions) -> Result<Model> {
-        self.run_rules(&self.rules, opts)
+        self.run_rules(&self.rule_slice(), opts)
     }
 
     /// Evaluates only the rules **relevant to the goal predicates**: the
@@ -376,7 +540,8 @@ impl Engine {
         let relevant = self.relevant_rules(&[goal.pred]);
         let mut declined = None;
         if opts.magic_sets {
-            if let Some(rw) = magic::rewrite(&relevant, &self.edb, goal, None, &mut self.syms) {
+            let refs: Vec<&Rule> = relevant.iter().collect();
+            if let Some(rw) = magic::rewrite(&refs, &self.edb, goal, None, &mut self.syms) {
                 if rw.demand_ratio.is_some_and(|r| r >= magic::DECLINE_RATIO) {
                     declined = rw.demand_ratio;
                 } else if let Some(mut model) =
@@ -418,6 +583,13 @@ impl Engine {
     /// facts may have been added since, never removed, and every rule
     /// added since sits at index `new_rules_from` or later. Under that
     /// contract the answers for `goal` equal [`Engine::run_for_query`]'s.
+    /// On an [`Engine::overlay`], `base` must be the model of the frozen
+    /// engine's EDB exactly: the facts the overlay added are then read
+    /// from its changelog instead of diffing the whole EDB against
+    /// `base`, and when the added rules start at `new_rules_from` and
+    /// define predicates the frozen program never mentions, the program
+    /// is the frozen engine's memoized stratification, restricted to what
+    /// the goal reaches, with the added rules stratified on top.
     ///
     /// Soundness of the predicate analysis: starting from predicates whose
     /// EDB grew or that head a new rule, a *positive* edge from a grown
@@ -448,19 +620,46 @@ impl Engine {
                 SeedDecline::CacheOff,
             ));
         }
-        let relevant = self.relevant_rules(&[goal.pred]);
         if !base.undefined.is_empty() {
+            let relevant = self.relevant_rules(&[goal.pred]);
             return Ok(declined(
                 self.run_rules(&relevant, opts)?,
                 SeedDecline::ThreeValuedBase,
             ));
         }
-        let strat = program::stratify(&relevant, |s| self.syms.resolve(s).to_string())?;
-        let plan = self.seed_plan(&relevant, &[goal.pred], base, new_rules_from);
-        let touched_wfs = strat
-            .strata
+        let relevant_owned: Vec<Rule>;
+        let (rules, shape) = match self.stacked_shape(new_rules_from)? {
+            Some(shape) => (
+                RuleList::new(
+                    &self.rules,
+                    self.overlay.as_ref().map_or(&[][..], |o| &o.rules[..]),
+                ),
+                shape,
+            ),
+            None => {
+                relevant_owned = self.relevant_rules(&[goal.pred]);
+                let shape = ProgramShape::of(&relevant_owned, 0, &self.syms)?;
+                (
+                    RuleList::from(&relevant_owned[..]),
+                    QueryShape {
+                        lower: Arc::new(shape),
+                        upper: None,
+                    },
+                )
+            }
+        };
+        let plan = self.seed_plan(&shape, goal.pred, base, new_rules_from);
+        let touched_wfs = plan.reached.iter().any(|&id| {
+            let (s, _) = shape.stratum(id);
+            s.wfs && !s.preds.iter().all(|p| plan.stable.contains(p))
+        });
+        let mut rule_ids: Vec<usize> = plan
+            .reached
             .iter()
-            .any(|s| s.wfs && !s.preds.iter().all(|p| plan.stable.contains(p)));
+            .flat_map(|&id| shape.stratum(id).0.rules.iter().copied())
+            .collect();
+        rule_ids.sort_unstable();
+        let relevant: Vec<&Rule> = rule_ids.into_iter().map(|i| &rules[i]).collect();
         let mut magic_declined = None;
         if opts.magic_sets && !touched_wfs {
             if let Some(rw) = magic::rewrite(
@@ -476,24 +675,55 @@ impl Engine {
                     self.eval_rewritten(&rw, plan.edb.clone(), opts, plan.seeded)?
                 {
                     model.profile.magic_demand_ratio = rw.demand_ratio;
+                    model.profile.novel_facts = plan.novel;
                     return Ok(model);
                 }
             }
         }
+        let strata: Vec<&Stratum> = plan.reached.iter().map(|&id| shape.stratum(id).0).collect();
         let Some(mut model) =
-            eval::eval_stratified_skipping(&relevant, &strat, &plan.edb, opts, Some(&plan.stable))?
+            eval::eval_stratified_skipping(rules, &strata, &plan.edb, opts, Some(&plan.stable))?
         else {
+            let relevant: Vec<Rule> = relevant.into_iter().cloned().collect();
             return Ok(declined(
                 self.run_rules(&relevant, opts)?,
                 SeedDecline::UndefinedResidue,
             ));
         };
         model.profile.seeded = plan.seeded;
+        model.profile.novel_facts = plan.novel;
         if magic_declined.is_some() {
             model.profile.magic_declined = true;
             model.profile.magic_demand_ratio = magic_declined;
         }
         Ok(model)
+    }
+
+    /// The program of a seeded query on an overlay whose added rules
+    /// start at `new_rules_from` and define only predicates the frozen
+    /// program never mentions: the frozen engine's memoized shape with
+    /// the added rules stratified on their own, on top. `None` when that
+    /// does not apply (not an overlay, another boundary, an added rule
+    /// extending a frozen predicate) — the caller analyses the relevant
+    /// rules ad hoc instead.
+    fn stacked_shape(&self, new_rules_from: usize) -> Result<Option<QueryShape>> {
+        let Some(o) = &self.overlay else {
+            return Ok(None);
+        };
+        let Some(frozen) = &o.frozen_shape else {
+            return Ok(None);
+        };
+        if new_rules_from != o.frozen_rules {
+            return Ok(None);
+        }
+        let added = &o.rules[o.frozen_rules - self.rules.len()..];
+        if added.iter().any(|r| frozen.mentions(r.head.pred)) {
+            return Ok(None);
+        }
+        Ok(Some(QueryShape {
+            lower: Arc::clone(frozen),
+            upper: Some(ProgramShape::of(added, o.frozen_rules, &self.syms)?),
+        }))
     }
 
     /// Stratifies and evaluates a magic-rewritten program (demand seeds
@@ -539,78 +769,71 @@ impl Engine {
     }
 
     /// The cross-query seeding analysis behind
-    /// [`Engine::run_for_query_seeded`]: classifies the relevant
-    /// predicates against a cached base model and returns the working EDB
-    /// with every safely-absorbable base relation already in place.
+    /// [`Engine::run_for_query_seeded`]: classifies the predicates of the
+    /// program `goal` reaches in `shape` against a cached base model and
+    /// returns the working EDB with every safely-absorbable base relation
+    /// already in place.
     ///
-    /// Seed set Δ: predicates whose EDB holds facts absent from the base
-    /// model, plus the heads of rules at index `new_rules_from` or later
-    /// (the rules the base model never saw). An older rule that derived
-    /// nothing in `base` is *not* new: its empty extension is exact. The
-    /// classification then propagates along dependency edges to a
-    /// fixpoint: a *positive* edge from a grown predicate can only add
-    /// facts to its head (grown, monotone); any edge from an unstable
-    /// predicate, or a negation/aggregate edge from a grown one, makes
-    /// the head *unstable* (facts may appear or vanish). Every predicate
-    /// except the unstable ones takes the base relation's shared handle,
-    /// plus (copied on write) whatever EDB facts of its own the base
-    /// lacks; *stable* predicates (neither grown nor unstable) keep their
-    /// base extension exactly, so their strata can be skipped (or, on the
-    /// magic path, their rules dropped).
+    /// Seed set Δ: predicates with facts absent from the base model (see
+    /// [`Engine::novel_facts`]), plus the heads of rules at index
+    /// `new_rules_from` or later (the rules the base model never saw). An
+    /// older rule that derived nothing in `base` is *not* new: its empty
+    /// extension is exact. The classification then propagates along
+    /// dependency edges, from the seeds only: a *positive* edge from a
+    /// grown predicate can only add facts to its head (grown, monotone);
+    /// any edge from an unstable predicate, or a negation/aggregate edge
+    /// from a grown one, makes the head *unstable* (facts may appear or
+    /// vanish). Every predicate except the unstable ones takes the base
+    /// relation's shared handle, plus (copied on write) whatever EDB facts
+    /// of its own the base lacks; *stable* predicates (neither grown nor
+    /// unstable) keep their base extension exactly, so their strata can
+    /// be skipped (or, on the magic path, their rules dropped).
     fn seed_plan(
         &self,
-        relevant: &[Rule],
-        goals: &[Sym],
+        shape: &QueryShape,
+        goal: Sym,
         base: &Model,
         new_rules_from: usize,
     ) -> SeedPlan {
-        let mut grown: HashSet<Sym> = HashSet::new();
-        let mut unstable: HashSet<Sym> = HashSet::new();
-        // EDB facts the base model lacks, per predicate.
-        let mut novel: HashMap<Sym, Vec<Tuple>> = HashMap::new();
-        for p in self.edb.predicates() {
-            let Some(rel) = self.edb.relation(p) else {
-                continue;
-            };
-            let fresh: Vec<Tuple> = match base.facts.relation(p) {
-                Some(b) => rel.iter().filter(|t| !b.contains(t)).cloned().collect(),
-                None => rel.iter().cloned().collect(),
-            };
-            if !fresh.is_empty() {
-                grown.insert(p);
-                novel.insert(p, fresh);
+        const GROWN: u8 = 1;
+        const UNSTABLE: u8 = 2;
+        let (reached, touched) = shape.reach(goal);
+        let mut novel = self.novel_facts(base);
+        let novel_count = novel.values().map(Vec::len).sum();
+        let mut status: HashMap<Sym, u8> = HashMap::new();
+        let mut work: Vec<Sym> = Vec::new();
+        let seeds = novel.keys().copied().chain(
+            self.rules()
+                .iter()
+                .skip(new_rules_from)
+                .map(|r| r.head.pred),
+        );
+        for p in seeds {
+            if touched.contains(&p) && status.insert(p, GROWN).is_none() {
+                work.push(p);
             }
         }
-        for r in self.rules.get(new_rules_from..).unwrap_or_default() {
-            grown.insert(r.head.pred);
-        }
-        let mut deps: Vec<(Sym, Sym, bool)> = Vec::new();
-        for r in relevant {
-            collect_dep_edges(&r.body, r.head.pred, false, &mut deps);
-        }
-        loop {
-            let mut changed = false;
-            for &(h, b, nonmono) in &deps {
-                if unstable.contains(&b) || (nonmono && grown.contains(&b)) {
-                    changed |= unstable.insert(h);
-                    changed |= grown.insert(h);
-                } else if grown.contains(&b) {
-                    changed |= grown.insert(h);
+        while let Some(b) = work.pop() {
+            let from = status[&b];
+            for &(h, nonmono) in shape.dependents(b) {
+                if !touched.contains(&h) {
+                    continue;
+                }
+                let to = if from == UNSTABLE || nonmono {
+                    UNSTABLE
+                } else {
+                    GROWN
+                };
+                if status.get(&h).is_none_or(|&s| s < to) {
+                    status.insert(h, to);
+                    work.push(h);
                 }
             }
-            if !changed {
-                break;
-            }
-        }
-        let mut touched: HashSet<Sym> = goals.iter().copied().collect();
-        for r in relevant {
-            touched.insert(r.head.pred);
-            collect_body_preds(&r.body, &mut touched);
         }
         let mut edb = self.edb.clone();
         let mut seeded = 0usize;
         for &p in &touched {
-            if unstable.contains(&p) {
+            if status.get(&p) == Some(&UNSTABLE) {
                 continue;
             }
             let Some(shared) = base.facts.relation_arc(p).filter(|r| !r.is_empty()) else {
@@ -627,13 +850,42 @@ impl Engine {
         let stable: HashSet<Sym> = touched
             .iter()
             .copied()
-            .filter(|p| !grown.contains(p) && !unstable.contains(p))
+            .filter(|p| !status.contains_key(p))
             .collect();
         SeedPlan {
             edb,
             stable,
             seeded,
+            novel: novel_count,
+            reached,
         }
+    }
+
+    /// The EDB facts a seeded query's base model lacks, per predicate. On
+    /// an overlay they are the facts its changelog recorded as added,
+    /// minus the base model — work proportional to the overlay's delta,
+    /// sound because the base model holds the frozen engine's whole EDB.
+    /// Elsewhere every EDB fact is checked against the base model. Debug
+    /// builds check the overlay's answer against that full diff.
+    fn novel_facts(&self, base: &Model) -> HashMap<Sym, Vec<Tuple>> {
+        let Some(log) = self.overlay.as_ref().and(self.changelog.as_ref()) else {
+            return missing_from(&self.edb, base);
+        };
+        let novel = missing_from(&log.added, base);
+        #[cfg(debug_assertions)]
+        {
+            let as_sets = |m: &HashMap<Sym, Vec<Tuple>>| -> HashMap<Sym, HashSet<Tuple>> {
+                m.iter()
+                    .map(|(&p, ts)| (p, ts.iter().cloned().collect()))
+                    .collect()
+            };
+            assert_eq!(
+                as_sets(&novel),
+                as_sets(&missing_from(&self.edb, base)),
+                "an overlay's changelog disagrees with its EDB diffed against the base model"
+            );
+        }
+        novel
     }
 
     /// The memoized [`ProgramShape`] for the *full* rule set, recomputed
@@ -645,12 +897,7 @@ impl Engine {
                 return Ok(Arc::clone(shape));
             }
         }
-        let strat = program::stratify(&self.rules, |s| self.syms.resolve(s).to_string())?;
-        let mut deps = Vec::new();
-        for r in &self.rules {
-            collect_dep_edges(&r.body, r.head.pred, false, &mut deps);
-        }
-        let shape = Arc::new(ProgramShape { strat, deps });
+        let shape = Arc::new(ProgramShape::of(&self.rule_slice(), 0, &self.syms)?);
         *guard = Some((self.rules_rev, Arc::clone(&shape)));
         Ok(shape)
     }
@@ -679,7 +926,7 @@ impl Engine {
     fn run_rules(&self, rules: &[Rule], opts: &EvalOptions) -> Result<Model> {
         // The full program's stratification is memoized on the engine;
         // pruned rule subsets (goal-directed paths) are analysed ad hoc.
-        if std::ptr::eq(rules.as_ptr(), self.rules.as_ptr()) && rules.len() == self.rules.len() {
+        if std::ptr::eq(rules.as_ptr(), self.rules.as_ptr()) && rules.len() == self.rules().len() {
             let shape = self.shape()?;
             return if shape.strat.needs_wfs {
                 wfs::eval_well_founded(rules, &self.edb, opts)
@@ -704,7 +951,7 @@ impl Engine {
         // its body predicates then become wanted too.
         loop {
             let before = wanted.len();
-            for rule in &self.rules {
+            for rule in self.rules().iter() {
                 if wanted.contains(&rule.head.pred) {
                     collect_body_preds(&rule.body, &mut wanted);
                 }
@@ -713,7 +960,7 @@ impl Engine {
                 break;
             }
         }
-        self.rules
+        self.rules()
             .iter()
             .filter(|r| wanted.contains(&r.head.pred))
             .cloned()
@@ -734,12 +981,100 @@ impl Engine {
 }
 
 /// The result of [`Engine::seed_plan`]: the working EDB with absorbed
-/// base facts, the exactly-stable predicate set, and how many facts were
-/// seeded.
+/// base facts, the exactly-stable predicate set, how many facts were
+/// seeded, how many EDB facts the base model lacked, and the strata the
+/// goal reaches.
 struct SeedPlan {
     edb: FactStore,
     stable: HashSet<Sym>,
     seeded: usize,
+    novel: usize,
+    reached: Vec<usize>,
+}
+
+/// The strata a seeded query runs over: one program shape, or an
+/// overlay's own rules stacked on its frozen engine's shape (see
+/// [`Engine::stacked_shape`]). Strata are numbered across both layers,
+/// lower first, so ascending ids are an evaluation order.
+struct QueryShape {
+    lower: Arc<ProgramShape>,
+    upper: Option<ProgramShape>,
+}
+
+impl QueryShape {
+    fn layers(&self) -> impl Iterator<Item = &ProgramShape> {
+        std::iter::once(&*self.lower).chain(self.upper.as_ref())
+    }
+
+    /// Stratum `id` and the predicates its rules read.
+    fn stratum(&self, id: usize) -> (&Stratum, &[Sym]) {
+        let (shape, i) = match id.checked_sub(self.lower.strat.strata.len()) {
+            None => (&*self.lower, id),
+            Some(i) => (self.upper.as_ref().expect("stratum id in range"), i),
+        };
+        (&shape.strat.strata[i], &shape.inputs[i])
+    }
+
+    fn stratum_id(&self, pred: Sym) -> Option<usize> {
+        self.lower.stratum_of.get(&pred).copied().or_else(|| {
+            let upper = self.upper.as_ref()?;
+            Some(upper.stratum_of.get(&pred)? + self.lower.strat.strata.len())
+        })
+    }
+
+    /// `(head, non-monotone?)` edges out of body predicate `pred`.
+    fn dependents(&self, pred: Sym) -> impl Iterator<Item = &(Sym, bool)> {
+        self.layers()
+            .flat_map(move |l| l.dependents.get(&pred).into_iter().flatten())
+    }
+
+    /// The strata `goal` reaches through rule bodies, in evaluation
+    /// order, and every predicate that reachable program mentions (the
+    /// goal included) — the same program [`Engine::relevant_rules`]
+    /// prunes to, found without visiting anything it does not reach.
+    fn reach(&self, goal: Sym) -> (Vec<usize>, HashSet<Sym>) {
+        let mut touched = HashSet::from([goal]);
+        let mut stack = vec![goal];
+        let mut reached = Vec::new();
+        let mut seen = HashSet::new();
+        while let Some(p) = stack.pop() {
+            let Some(id) = self.stratum_id(p) else {
+                continue;
+            };
+            if !seen.insert(id) {
+                continue;
+            }
+            reached.push(id);
+            let (stratum, inputs) = self.stratum(id);
+            touched.extend(stratum.preds.iter().copied());
+            for &q in inputs {
+                if touched.insert(q) {
+                    stack.push(q);
+                }
+            }
+        }
+        reached.sort_unstable();
+        (reached, touched)
+    }
+}
+
+/// Facts of `store` absent from `base`'s true facts, per predicate
+/// (predicates with none are left out).
+fn missing_from(store: &FactStore, base: &Model) -> HashMap<Sym, Vec<Tuple>> {
+    let mut out = HashMap::new();
+    for p in store.predicates() {
+        let Some(rel) = store.relation(p) else {
+            continue;
+        };
+        let fresh: Vec<Tuple> = match base.facts.relation(p) {
+            Some(b) => rel.iter().filter(|t| !b.contains(t)).cloned().collect(),
+            None => rel.iter().cloned().collect(),
+        };
+        if !fresh.is_empty() {
+            out.insert(p, fresh);
+        }
+    }
+    out
 }
 
 /// Records `(head, body-pred, non-monotone?)` dependency edges. Negated

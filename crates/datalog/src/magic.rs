@@ -134,7 +134,7 @@ fn first_touched_position(tuple: &[Term], s: &HashSet<Term>) -> Option<usize> {
 /// status-quo behavior); a ratio near 1.0 means demand cannot prune and
 /// the rewrite should be declined. Returns `None` below the size floor.
 fn estimate_demand_ratio(
-    rules: &[Rule],
+    rules: &[&Rule],
     edb: &FactStore,
     seeds: &[(Sym, Vec<Term>)],
     rewritten: &[Rule],
@@ -237,7 +237,7 @@ fn term_bound(t: &Term, bound: &HashSet<Var>) -> bool {
 /// pure rename would only add overhead) — and the caller falls back to
 /// plain bottom-up evaluation.
 pub(crate) fn rewrite(
-    rules: &[Rule],
+    rules: &[&Rule],
     edb: &FactStore,
     goal: &Atom,
     frozen: Option<&HashSet<Sym>>,
@@ -284,7 +284,7 @@ pub(crate) fn rewrite(
 
     // Group rules by head for deterministic per-predicate iteration.
     let mut rules_of: HashMap<Sym, Vec<&Rule>> = HashMap::new();
-    for r in rules {
+    for &r in rules {
         rules_of.entry(r.head.pred).or_default().push(r);
     }
 
@@ -408,7 +408,7 @@ pub(crate) fn rewrite(
     let mut out: Vec<Rule> = Vec::new();
     // Needs-full fragment, verbatim, in original rule order (frozen and
     // never-demanded subprograms are dropped: extra pruning).
-    for r in rules {
+    for &r in rules {
         if needs_full.contains(&r.head.pred) && !is_frozen(r.head.pred) {
             out.push(r.clone());
         }

@@ -40,6 +40,66 @@ pub struct Stratification {
     pub needs_wfs: bool,
 }
 
+/// A program's rule list as one logical sequence over up to two slices:
+/// the rules an engine shares with the engine it was made from, then the
+/// rules it added itself (see [`crate::Engine::overlay`]). Indices run
+/// across both, so strata computed for the concatenation address rules
+/// without the slices ever being copied together.
+#[derive(Debug, Clone, Copy)]
+pub struct RuleList<'a> {
+    shared: &'a [Rule],
+    local: &'a [Rule],
+}
+
+impl<'a> RuleList<'a> {
+    /// The list `shared` followed by `local`.
+    pub fn new(shared: &'a [Rule], local: &'a [Rule]) -> Self {
+        RuleList { shared, local }
+    }
+
+    /// Number of rules.
+    pub fn len(&self) -> usize {
+        self.shared.len() + self.local.len()
+    }
+
+    /// Whether the list holds no rules.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The rule at logical index `i`.
+    pub fn get(&self, i: usize) -> Option<&'a Rule> {
+        match i.checked_sub(self.shared.len()) {
+            None => Some(&self.shared[i]),
+            Some(j) => self.local.get(j),
+        }
+    }
+
+    /// The rules in order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Rule> + 'a {
+        self.shared.iter().chain(self.local)
+    }
+
+    /// The rules as one owned vector.
+    pub fn to_vec(&self) -> Vec<Rule> {
+        self.iter().cloned().collect()
+    }
+}
+
+impl<'a> From<&'a [Rule]> for RuleList<'a> {
+    fn from(rules: &'a [Rule]) -> Self {
+        RuleList::new(rules, &[])
+    }
+}
+
+impl std::ops::Index<usize> for RuleList<'_> {
+    type Output = Rule;
+
+    fn index(&self, i: usize) -> &Rule {
+        self.get(i).expect("rule index out of range")
+    }
+}
+
 /// A dependency of a rule head on a body predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DepKind {

@@ -123,6 +123,16 @@ impl FLogic {
         fl
     }
 
+    /// An overlay of this knowledge base: reads through its symbol table
+    /// and rules without copying them and keeps what it adds to itself
+    /// (see `kind_datalog::Engine::overlay`).
+    pub fn overlay(&self) -> FLogic {
+        FLogic {
+            engine: self.engine.overlay(),
+            preds: self.preds,
+        }
+    }
+
     /// The reserved predicate symbols.
     pub fn preds(&self) -> &Preds {
         &self.preds

@@ -12,6 +12,7 @@ use crate::error::{GcmError, Result};
 use kind_datalog::{EvalOptions, Model, Term};
 use kind_flogic::FLogic;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A named conceptual model: an ordered list of GCM declarations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -124,11 +125,15 @@ impl ConceptualModel {
 
 /// The mediator's GCM engine: F-logic knowledge base + relation schemas +
 /// the integrity-constraint rule library.
+///
+/// Cloning copies no symbol, rule, fact or relation schema (all are
+/// shared and copied on first write); [`GcmBase::overlay`] never copies
+/// them at all.
 #[derive(Debug, Clone)]
 pub struct GcmBase {
     fl: FLogic,
     /// Relation name → role list (role, class) in positional order.
-    relations: HashMap<String, Vec<(String, String)>>,
+    relations: Arc<HashMap<String, Vec<(String, String)>>>,
 }
 
 impl Default for GcmBase {
@@ -154,7 +159,20 @@ impl GcmBase {
             .expect("constraint rules well-formed");
         GcmBase {
             fl,
-            relations: HashMap::new(),
+            relations: Arc::default(),
+        }
+    }
+
+    /// An overlay of this base for per-call scratch work: it reads
+    /// through the base's symbol table, rules and relation schemas
+    /// without copying them, and keeps only what it adds — new symbols,
+    /// rules, and the facts of applied declarations — to itself
+    /// (see `kind_datalog::Engine::overlay`). Creating one costs the same
+    /// however large the base is.
+    pub fn overlay(&self) -> GcmBase {
+        GcmBase {
+            fl: self.fl.overlay(),
+            relations: Arc::clone(&self.relations),
         }
     }
 
@@ -230,7 +248,7 @@ impl GcmBase {
                 self.fl.assert_method(o, method, v)?;
             }
             GcmDecl::Relation { name, roles } => {
-                self.relations.insert(name.clone(), roles.clone());
+                Arc::make_mut(&mut self.relations).insert(name.clone(), roles.clone());
                 // Schema facts: relsch(name, pos, role, class); rel(name, arity).
                 let e = self.fl.engine_mut();
                 let relsch = e.sym("relsch");

@@ -35,6 +35,11 @@
 //!   request that waited out its budget is failed without evaluating).
 //! * `"bad_request"` / `"query_error"` — malformed input or an
 //!   evaluation error; detail in `"detail"`.
+//! * `"too_large"` — the request line ran past [`MAX_LINE_BYTES`]; the
+//!   rest of it is read and dropped up to its newline, and the
+//!   connection then carries on with the next line.
+//! * `"internal"` — handling the request panicked. Only that request
+//!   fails: the worker survives and keeps serving.
 //!
 //! ## Threads
 //!
@@ -59,13 +64,20 @@ use kind_core::{
 use kind_datalog::{CancelToken, EvalOptions};
 use kind_sources::{build_scenario, ncmir_update_rows, ScenarioParams};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// The longest request line the server reads, in bytes (newline not
+/// counted). Far above any legitimate request — the repository's deepest
+/// test requests are about 300 KB — and low enough that one line with no
+/// newline cannot grow a reader's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -157,6 +169,20 @@ enum WriteCmd {
     Stop,
 }
 
+/// A request's entry in the [`Watchlist`], removed on drop.
+struct Watched<'a> {
+    list: &'a Watchlist,
+    key: u64,
+}
+
+impl Drop for Watched<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut entries) = self.list.entries.lock() {
+            entries.remove(&self.key);
+        }
+    }
+}
+
 /// In-flight cancellation registry for the watchdog.
 #[derive(Default)]
 struct Watchlist {
@@ -165,20 +191,15 @@ struct Watchlist {
 }
 
 impl Watchlist {
-    fn register(&self, deadline: Instant, token: CancelToken) -> u64 {
+    /// Registers `token` for cancellation at `deadline`, until the
+    /// returned guard drops — also when the request's handling panics.
+    fn register(&self, deadline: Instant, token: CancelToken) -> Watched<'_> {
         let key = self.next.fetch_add(1, Ordering::Relaxed);
         self.entries
             .lock()
             .expect("watchlist poisoned")
             .insert(key, (deadline, token));
-        key
-    }
-
-    fn unregister(&self, key: u64) {
-        self.entries
-            .lock()
-            .expect("watchlist poisoned")
-            .remove(&key);
+        Watched { list: self, key }
     }
 
     /// Cancels everything past `now`; cancelled entries stay registered
@@ -401,27 +422,56 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
         }),
     });
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The line being read. A read that times out mid-line keeps what it
+    // got, so a slow client's request is not cut in two.
+    let mut line: Vec<u8> = Vec::new();
+    // Set after a too-long line: drop input up to its newline.
+    let mut discarding = false;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // EOF
+        let read = if discarding {
+            skip_past_newline(&mut reader).map(|found| {
+                discarding = false;
+                usize::from(found)
+            })
+        } else {
+            // One byte past the cap, so an over-long line shows as one.
+            let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+            (&mut reader).take(room).read_until(b'\n', &mut line)
+        };
+        match read {
+            Ok(0) if line.is_empty() => return, // EOF
+            Ok(_) if line.is_empty() => {}
+            Ok(_) if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') => {
+                line.clear();
+                discarding = true;
+                writer.send(&error_response(
+                    Json::Null,
+                    "too_large",
+                    &format!("request line longer than {MAX_LINE_BYTES} bytes"),
+                ));
+            }
+            // A whole line, or the last one before EOF.
             Ok(_) => {
-                let text = line.trim();
-                if text.is_empty() {
-                    continue;
-                }
-                match Json::parse(text) {
-                    Ok(req) => handle_request(req, &writer, shared),
-                    Err(e) => writer.send(&error_response(
+                match std::str::from_utf8(&line).map(str::trim) {
+                    Ok("") => {}
+                    Ok(text) => match Json::parse(text) {
+                        Ok(req) => handle_request(req, &writer, shared),
+                        Err(e) => writer.send(&error_response(
+                            Json::Null,
+                            "bad_request",
+                            &format!("unparseable request: {e}"),
+                        )),
+                    },
+                    Err(_) => writer.send(&error_response(
                         Json::Null,
                         "bad_request",
-                        &format!("unparseable request: {e}"),
+                        "request is not UTF-8",
                     )),
                 }
+                line.clear();
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -430,6 +480,28 @@ fn conn_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 continue;
             }
             Err(_) => return,
+        }
+    }
+}
+
+/// Consumes input up to and including the next newline without keeping
+/// any of it. `Ok(true)` once the newline is consumed, `Ok(false)` at
+/// EOF.
+fn skip_past_newline(reader: &mut impl BufRead) -> std::io::Result<bool> {
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(false);
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(true);
+            }
+            None => {
+                let n = buf.len();
+                reader.consume(n);
+            }
         }
     }
 }
@@ -570,7 +642,26 @@ fn worker_loop(shared: &Arc<Shared>) {
                 queue = shared.queue_cv.wait(queue).expect("queue poisoned");
             }
         };
-        serve_job(job, shared);
+        let (id, conn) = (job.id.clone(), Arc::clone(&job.conn));
+        contain_panic(&id, &conn, || serve_job(job, shared));
+    }
+}
+
+/// Runs `serve` — one request's whole handling — and answers a panic
+/// inside it with a typed `internal` error for that request alone, so the
+/// worker thread survives and goes on serving the queue.
+fn contain_panic(id: &Json, conn: &ConnWriter, serve: impl FnOnce()) {
+    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(serve)) {
+        let detail = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        conn.send(&error_response(
+            id.clone(),
+            "internal",
+            &format!("request handler panicked: {detail}"),
+        ));
     }
 }
 
@@ -665,16 +756,13 @@ fn eval_op(
                 cancel: Some(token.clone()),
                 ..pinned.eval_options().clone()
             };
-            let watch = (job.budget_ms > 0).then(|| {
+            let _watch = (job.budget_ms > 0).then(|| {
                 let remaining = Duration::from_millis(job.budget_ms).saturating_sub(queue_wait);
                 shared
                     .watchlist
                     .register(Instant::now() + remaining, token.clone())
             });
             let result = pinned.answer_with(rule, &opts);
-            if let Some(key) = watch {
-                shared.watchlist.unregister(key);
-            }
             let answer = match result {
                 Ok(a) => a,
                 Err(e) if token.is_cancelled() => {
@@ -697,6 +785,7 @@ fn eval_op(
                         ("magic_declined", Json::Bool(answer.magic_declined)),
                         ("seeded", Json::Bool(answer.seeded)),
                         ("skipped_strata", Json::int(answer.skipped_strata as u64)),
+                        ("novel_facts", Json::int(answer.novel_facts as u64)),
                     ]),
                 ),
             ]))
@@ -778,5 +867,71 @@ fn writer_loop(
             }
             Ok(WriteCmd::Stop) | Err(_) => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufRead;
+    use std::net::TcpListener;
+
+    /// A connected socket pair: the server-side writer and a line reader
+    /// on the client side.
+    fn socket_pair() -> (ConnWriter, BufReader<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // A response that never comes fails the test instead of hanging it.
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (
+            ConnWriter {
+                stream: Mutex::new(server),
+            },
+            BufReader::new(client),
+        )
+    }
+
+    fn read_json(reader: &mut BufReader<TcpStream>) -> Json {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Json::parse(line.trim()).unwrap()
+    }
+
+    /// A panicking request gets a typed `internal` error of its own, and
+    /// the worker that ran it goes on serving the next requests.
+    #[test]
+    fn a_panicking_request_fails_alone_and_the_worker_keeps_serving() {
+        let (conn, mut client) = socket_pair();
+        let conn = Arc::new(conn);
+        let (tx, rx) = mpsc::channel::<(u64, bool)>();
+        let worker = {
+            let conn = Arc::clone(&conn);
+            thread::spawn(move || {
+                for (id, fail) in rx {
+                    contain_panic(&Json::int(id), &conn, || {
+                        assert!(!fail, "injected failure in request {id}");
+                        conn.send(&obj([("id", Json::int(id)), ("ok", Json::Bool(true))]));
+                    });
+                }
+            })
+        };
+        for (id, fail) in [(1, false), (2, true), (3, false), (4, true), (5, false)] {
+            tx.send((id, fail)).unwrap();
+            let resp = read_json(&mut client);
+            assert_eq!(resp.get("id").and_then(Json::as_u64), Some(id));
+            if fail {
+                assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+                assert_eq!(resp.get("error").and_then(Json::as_str), Some("internal"));
+                let detail = resp.get("detail").and_then(Json::as_str).unwrap();
+                assert!(detail.contains("injected failure"), "{detail}");
+            } else {
+                assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+            }
+        }
+        drop(tx);
+        worker.join().expect("the worker survived every panic");
     }
 }

@@ -7,6 +7,8 @@ use kind_server::client::Conn;
 use kind_server::wire::{obj, Json};
 use kind_server::{spawn_server, ServerConfig};
 use kind_sources::ScenarioParams;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 
 fn small_scenario() -> ScenarioParams {
     ScenarioParams {
@@ -75,6 +77,9 @@ fn serves_the_whole_protocol() {
     // strata skipped rather than re-derived.
     assert_eq!(eval.get("seeded").and_then(Json::as_bool), Some(true));
     assert!(eval.get("skipped_strata").and_then(Json::as_u64).unwrap() > 0);
+    // A snapshot answer fetches nothing and its view adds no facts: the
+    // seed plan's delta is empty, however many facts the snapshot holds.
+    assert_eq!(eval.get("novel_facts").and_then(Json::as_u64), Some(0));
 
     // plan: the warm §5 replay.
     let resp = conn.request(obj([("op", Json::str("plan"))])).unwrap();
@@ -408,6 +413,73 @@ fn deeply_nested_rules_are_query_errors_not_crashes() {
         .unwrap();
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
     assert!(!resp.get("rows").and_then(Json::as_arr).unwrap().is_empty());
+
+    handle.shutdown();
+}
+
+#[test]
+fn an_endless_request_line_is_refused_not_buffered() {
+    let (handle, addr) = small_server(2, 64);
+    // 8 MiB with no newline, from a second thread: the server refuses the
+    // line once it passes the cap, while the client is still writing.
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut out = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..128 {
+            out.write_all(&chunk)?;
+        }
+        // The line ends; the connection then carries on.
+        out.write_all(b"\n{\"id\": 9, \"op\": \"ping\"}\n")
+    });
+    let mut lines = BufReader::new(stream);
+    let mut line = String::new();
+    lines.read_line(&mut line).unwrap();
+    let resp = Json::parse(line.trim()).unwrap();
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(resp.get("error").and_then(Json::as_str), Some("too_large"));
+    line.clear();
+    lines.read_line(&mut line).unwrap();
+    let resp = Json::parse(line.trim()).unwrap();
+    assert_eq!(resp.get("id").and_then(Json::as_u64), Some(9));
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+    sender.join().unwrap().unwrap();
+
+    // A fresh connection pings and answers correctly.
+    let mut fresh = Conn::connect(&addr).unwrap();
+    let resp = fresh.request(obj([("op", Json::str("ping"))])).unwrap();
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+    let rule = r#"names(P) :- X : protein_amount, X[protein_name -> P]."#;
+    let resp = fresh
+        .request(obj([
+            ("op", Json::str("answer")),
+            ("rule", Json::str(rule)),
+        ]))
+        .unwrap();
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+    let mediator_rows = {
+        let mut m = kind_sources::build_scenario(&small_scenario());
+        m.materialize_all().unwrap();
+        m.snapshot().unwrap().answer(rule).unwrap()
+    };
+    let rows: Vec<Vec<String>> = resp
+        .get("rows")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|r| {
+            r.as_arr()
+                .unwrap()
+                .iter()
+                .map(|v| v.as_str().unwrap().to_string())
+                .collect()
+        })
+        .collect();
+    assert!(!rows.is_empty());
+    assert_eq!(rows, mediator_rows);
 
     handle.shutdown();
 }
